@@ -10,10 +10,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+
+if TYPE_CHECKING:
+    import numpy
 
 U64_MAX = 2**64 - 1
 DEFAULT_SEGMENT_SIZE = 1 << 20
+# Largest sieve bound: primes and roots fit uint32, and the products of two
+# residues below it fit 62 bits, so batched arithmetic in int64 is exact.
+HI_MAX = 2**31
+# Candidates 4i+1 examined per chunk of the root-table sieve.
+_TABLE_CHUNK = 1 << 18
 
 # Witnesses proven sufficient for deterministic Miller-Rabin below 2^64
 # (Sinclair / Feitsma-verified base set).
@@ -234,3 +242,87 @@ def hensel_lift(root: RootPair, k: int) -> PrimePowerRoot:
         r += step * pj
         pj *= p
     return PrimePowerRoot(p=p, k=k, m=m, r=min(r, m - r))
+
+
+_root_table_cache: Optional[Tuple[int, "numpy.ndarray"]] = None
+
+
+def root_table(hi: int) -> "numpy.ndarray":
+    """Rows (p, b_p) for every prime p = 1 (mod 4) up to hi, ascending in p.
+
+    A uint32 array of shape (k, 2); b_p is the root of b^2 = -1 (mod p)
+    normalized to (0, p/2), equal to _root_for_prime(p).  The largest table
+    built so far is kept for the life of the process, so a fork pool started
+    after the first call inherits it and smaller bounds are served by a
+    prefix of it.
+    """
+    global _root_table_cache
+    if hi > HI_MAX:
+        raise OverflowError(f"hi={hi} above 2^31: the root table is uint32")
+    if _root_table_cache is None or _root_table_cache[0] < hi:
+        _root_table_cache = (hi, _build_root_table(hi))
+    table = _root_table_cache[1]
+    return table[: int(table[:, 0].searchsorted(hi, side="right"))]
+
+
+def _build_root_table(hi: int, chunk: int = _TABLE_CHUNK) -> "numpy.ndarray":
+    """Uncached root_table: a chunked sieve over n = 4i+1, then batched roots.
+
+    hi <= HI_MAX is the caller's contract.  Every row is audited with
+    (b*b + 1) % p == 0, chunk by chunk; a failure raises AssertionError.
+    """
+    import numpy as np
+
+    base = _base_primes(math.isqrt(max(hi, 0)) + 1)
+    top = (hi - 1) // 4  # largest i with 4i+1 <= hi
+    parts = [np.empty((0, 2), dtype=np.uint32)]
+    for i_lo in range(1, top + 1, chunk):
+        i_hi = min(i_lo + chunk, top + 1)
+        composite = np.zeros(i_hi - i_lo, dtype=bool)
+        for p in base[1:]:
+            # odd multiples of p that are 1 (mod 4) sit at i = (p^2-1)/4 (mod p)
+            first = (p * p - 1) // 4
+            if first >= i_hi:
+                break
+            start = first if first >= i_lo else i_lo + (first - i_lo) % p
+            composite[start - i_lo :: p] = True
+        p = 4 * (np.flatnonzero(~composite).astype(np.int64) + i_lo) + 1
+        b = _batch_roots(p, base)
+        bad = np.flatnonzero((b * b + 1) % p)
+        if bad.size:
+            i = int(bad[0])
+            raise AssertionError(f"root table: {b[i]}^2 + 1 is not divisible by {p[i]}")
+        parts.append(np.column_stack((p, b)).astype(np.uint32))
+    return np.concatenate(parts)
+
+
+def _batch_roots(p: "numpy.ndarray", base: Tuple[int, ...]) -> "numpy.ndarray":
+    """Normalized roots of -1 for an int64 array of primes p = 1 (mod 4).
+
+    Each p gets a nonresidue z: 2 when p = 5 (mod 8), otherwise the least
+    odd prime q with p a nonresidue mod q, which by reciprocity (p = 1 mod 4)
+    is exactly a q that is a nonresidue mod p.  The least nonresidue is a
+    prime below sqrt(p) + 1, so base always holds one.  Then
+    z^((p-1)/4) squares to -1, and either of its signs normalizes to the
+    same root whichever nonresidue was used.
+    """
+    import numpy as np
+
+    z = np.where(p % 8 == 5, 2, 0)
+    todo = np.flatnonzero(z == 0)
+    for q in base[1:]:
+        if not todo.size:
+            break
+        squares = np.zeros(q, dtype=bool)
+        squares[np.arange(q) ** 2 % q] = True
+        hit = ~squares[p[todo] % q]
+        z[todo[hit]] = q
+        todo = todo[~hit]
+    result = np.ones_like(p)
+    power = z
+    e = (p - 1) // 4
+    while e.any():
+        result = np.where(e & 1, result * power % p, result)
+        power = power * power % p
+        e >>= 1
+    return np.minimum(result, p - result)

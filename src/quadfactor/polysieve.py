@@ -6,27 +6,30 @@ powers.  Whatever survives is prime: two prime factors above hi >= n would
 multiply past (n+1)^2 > n^2 + 1, and a square q^2 with q > n would have to
 equal n^2 + 1 itself, which (q-n)(q+n) = 1 forbids.  So sieving only up to
 hi is enough, and each residual carries multiplicity 1.
+
+The roots come from one table per bound (modmath.root_table).  Primes up to
+the segment width are visited by strided passes; each prime above it has at
+most one position per root in the segment, and one vectorized test over the
+table finds those positions, so per-value work tracks the width, not pi(hi).
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .modmath import (
-    DEFAULT_SEGMENT_SIZE,
-    _root_for_prime,
-    is_prime,
-    iter_primes,
-    primes_in,
-)
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, primes_in, root_table
 
-HI_MAX = 2**31
+if TYPE_CHECKING:
+    import numpy
 _RESIDUAL_SPOT_CHECK_STRIDE = 4093  # sampled primality audit of residuals
 _TRIAL_BOUND = 10**6
+_HIT_TEST_ROWS = 1 << 18
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,6 +55,31 @@ class RecordRow:
     is_record: bool
 
 
+def _root_positions(
+    table: "numpy.ndarray", lo: int, width: int
+) -> Iterator[Tuple[int, Sequence[int]]]:
+    """(p, offsets into the window) for the table's primes, ascending in p.
+
+    Primes up to the width get one strided range per root.  A prime above
+    the width meets each root class at most once in the window, so one
+    vectorized test (c - lo) mod p < width over both roots finds its
+    offsets, and primes that divide no value in the window are skipped.
+    """
+    split = int(table[:, 0].searchsorted(width, side="right"))
+    for p, b in table[:split].tolist():
+        yield p, range((b - lo) % p, width, p)
+        yield p, range((p - b - lo) % p, width, p)
+    # in row chunks, so the int64 temporaries stay small for any bound
+    for start in range(split, len(table), _HIT_TEST_ROWS):
+        rows = table[start : start + _HIT_TEST_ROWS].astype("int64")
+        p, b = rows[:, 0], rows[:, 1]
+        first = (b - lo) % p
+        second = (-b - lo) % p
+        hit = ((first < width) | (second < width)).nonzero()[0]
+        for q, i, j in zip(p[hit].tolist(), first[hit].tolist(), second[hit].tolist()):
+            yield q, [k for k in (i, j) if k < width]
+
+
 def sieve_segment(lo: int, hi: int) -> list[FactorizationRecord]:
     """Factor n^2 + 1 for every n in [lo, hi]."""
     if lo < 1 or lo > hi:
@@ -65,18 +93,15 @@ def sieve_segment(lo: int, hi: int) -> list[FactorizationRecord]:
     for i in range((lo + 1) % 2, width, 2):
         residual[i] //= 2
         factors[i].append((2, 1))
-    if hi >= 5:
-        for p in iter_primes(5, hi, (4, 1)):
-            b = _root_for_prime(p)
-            for c in (b, p - b):
-                for i in range((c - lo) % p, width, p):
-                    v = residual[i]
-                    e = 0
-                    while v % p == 0:
-                        v //= p
-                        e += 1
-                    residual[i] = v
-                    factors[i].append((p, e))
+    for p, positions in _root_positions(root_table(hi), lo, width):
+        for i in positions:
+            v = residual[i]
+            e = 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            residual[i] = v
+            factors[i].append((p, e))
     records = []
     for i in range(width):
         f = factors[i]
@@ -91,8 +116,12 @@ def sieve_segment(lo: int, hi: int) -> list[FactorizationRecord]:
     return records
 
 
-def _sieve_worker(bounds: Tuple[int, int]) -> list[FactorizationRecord]:
-    return sieve_segment(*bounds)
+def _sieve_worker(
+    bounds: Tuple[int, int],
+) -> Tuple[list[int], list[Tuple[Tuple[int, int], ...]]]:
+    # plain columns pickle several times faster than a list of dataclasses
+    records = sieve_segment(*bounds)
+    return [rec.n for rec in records], [rec.factors for rec in records]
 
 
 def iter_records(
@@ -105,7 +134,10 @@ def iter_records(
 
     Segments are independent work units; with workers > 1 they run in a
     process pool and are re-sequenced by segment index, so the stream is
-    identical for any worker count.
+    identical for any worker count.  The root table for hi is built once,
+    before the pool forks, so workers inherit it.  At most 2 * workers
+    segments are submitted ahead of the consumer, which bounds the results
+    held in memory when the consumer is slower than the pool.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
@@ -114,6 +146,9 @@ def iter_records(
     bounds = [
         (s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size)
     ]
+    if not bounds:
+        return
+    root_table(hi)
     if workers == 1 or len(bounds) <= 1:
         for seg in bounds:
             yield from sieve_segment(*seg)
@@ -122,8 +157,21 @@ def iter_records(
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=min(workers, len(bounds)), mp_context=ctx
     ) as pool:
-        for records in pool.map(_sieve_worker, bounds):
-            yield from records
+        todo = iter(bounds)
+        pending = collections.deque(
+            pool.submit(_sieve_worker, seg) for seg in itertools.islice(todo, 2 * workers)
+        )
+        try:
+            while pending:
+                ns, factor_lists = pending.popleft().result()
+                seg = next(todo, None)
+                if seg is not None:
+                    pending.append(pool.submit(_sieve_worker, seg))
+                for n, f in zip(ns, factor_lists):
+                    yield FactorizationRecord(n=n, factors=f, largest_prime=f[-1][0])
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 # --- single-value factoring -------------------------------------------------

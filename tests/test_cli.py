@@ -1,10 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadfactor
 from quadfactor.cli import main
+
+SRC = str(Path(quadfactor.__file__).resolve().parents[1])
 
 
 def run_csv(tmp_path, args, name="out.csv", rc_expected=0):
@@ -169,3 +176,37 @@ def test_internal_assertion_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(polysieve, "is_prime", lambda n: False)
     assert main(["sieve", "--lo", "100", "--hi", "100"]) == 2
     assert "internal check failed" in capsys.readouterr().err
+
+
+def test_root_table_audit_failure_exits_2(monkeypatch, capsys):
+    from quadfactor import modmath
+
+    monkeypatch.setattr(modmath, "_root_table_cache", None)
+    monkeypatch.setattr(modmath, "_batch_roots", lambda p, base: p - 1)
+    assert main(["sieve", "--lo", "2", "--hi", "50"]) == 2
+    assert "internal check failed" in capsys.readouterr().err
+
+
+def _fresh_python(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_startup_does_not_import_numpy():
+    # numpy is loaded by the root table builder only, so setup and the
+    # stdlib ledger path do not pay its import
+    run = _fresh_python("-c", "import sys, quadfactor; print('numpy' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+    run = _fresh_python("-X", "importtime", "-m", "quadfactor", "sums", "--help")
+    assert run.returncode == 0, run.stderr
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "quadfactor.cli" in imported
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]

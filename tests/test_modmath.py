@@ -4,15 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadfactor import modmath
 from quadfactor.modmath import (
+    HI_MAX,
     PrimePowerRoot,
     RootPair,
+    _build_root_table,
+    _root_for_prime,
     hensel_lift,
     is_prime,
     iter_primes,
     mulmod,
     powmod,
     primes_in,
+    root_table,
     sqrt_minus_one,
 )
 
@@ -195,3 +200,37 @@ def test_hensel_lift_overflow():
         hensel_lift(sqrt_minus_one(5), 28)  # 5^28 > 2^64
     with pytest.raises(ValueError):
         hensel_lift(sqrt_minus_one(5), 0)
+
+
+def test_root_table_matches_scalar_roots_up_to_1e6():
+    expected = [[p, _root_for_prime(p)] for p in primes_in(5, 10**6, (4, 1))]
+    # the default chunk covers 10^6 at once; the others cut it in many places
+    for chunk in (modmath._TABLE_CHUNK, 4097, 1000):
+        table = _build_root_table(10**6, chunk)
+        assert table.dtype.name == "uint32" and table.shape == (len(expected), 2)
+        assert table.tolist() == expected, chunk
+
+
+def test_root_table_small_bounds_and_prefixes():
+    for hi in range(0, 300):
+        table = _build_root_table(hi, chunk=7)
+        assert table[:, 0].tolist() == primes_in(2, max(hi, 2), (4, 1)), hi
+    full = root_table(5000)
+    for hi in (1, 5, 12, 13, 4999, 5000):
+        assert root_table(hi).tolist() == full[: len(primes_in(2, max(hi, 2), (4, 1)))].tolist()
+
+
+def test_root_table_audit_rejects_a_bad_root(monkeypatch):
+    monkeypatch.setattr(modmath, "_batch_roots", lambda p, base: p - 1)
+    with pytest.raises(AssertionError):
+        _build_root_table(100)
+
+
+def test_root_table_rejects_bounds_above_2_31_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise RuntimeError("table work started")
+
+    monkeypatch.setattr(modmath, "_build_root_table", no_work)
+    monkeypatch.setattr(modmath, "_root_table_cache", None)
+    with pytest.raises(OverflowError):
+        root_table(HI_MAX + 1)

@@ -1,11 +1,14 @@
+import concurrent.futures
 import math
 import random
 
 import pytest
 import sympy
 
+from quadfactor import modmath
 from quadfactor.modmath import is_prime, primes_in
 from quadfactor.polysieve import (
+    _sieve_worker,
     factorize_value,
     incidence_counts,
     iter_records,
@@ -73,13 +76,65 @@ def test_segment_concatenation_identical():
     assert streamed == whole
 
 
-def test_sieve_segment_validation():
+def test_sieve_segment_validation(monkeypatch):
     with pytest.raises(ValueError):
         sieve_segment(0, 10)
     with pytest.raises(ValueError):
         sieve_segment(10, 5)
+
+    def no_work(*args, **kwargs):
+        raise RuntimeError("table work started")
+
+    # an out-of-envelope bound is refused before any root table work
+    monkeypatch.setattr(modmath, "_build_root_table", no_work)
+    monkeypatch.setattr(modmath, "_root_table_cache", None)
     with pytest.raises(OverflowError):
         sieve_segment(2, 2**31 + 1)
+    with pytest.raises(OverflowError):
+        next(iter_records(2**31 - 10, 2**31 + 1, segment_size=4))
+
+
+def _sympy_factors(n):
+    return tuple(sorted(sympy.factorint(n * n + 1).items()))
+
+
+def test_sieve_segment_random_windows_against_sympy():
+    rng = random.Random(20230819)
+    windows = []
+    for _ in range(6):
+        width = rng.randrange(1, 300)
+        lo = rng.randrange(2, 3 * 10**7 - width)
+        windows.append((lo, lo + width - 1))
+    # widest bound first, so one root table serves every window
+    for lo, hi in sorted(windows, key=lambda w: -w[1]):
+        for rec in sieve_segment(lo, hi):
+            assert rec.factors == _sympy_factors(rec.n), rec.n
+
+
+@pytest.mark.parametrize("p", [5, 101])
+@pytest.mark.parametrize("base", [10**6, 2 * 10**7])
+def test_sieve_segment_widths_around_a_prime(p, base):
+    # W = p-1 puts p on the hit-test side of the split, W = p and p+1 on the
+    # strided side; the windows start on a root class of p, so p divides the
+    # first value, and for W = p+1 the last one too
+    b = modmath._root_for_prime(p)
+    for c in (b, p - b):
+        lo = base + (c - base) % p
+        for width in (p - 1, p, p + 1):
+            records = sieve_segment(lo, lo + width - 1)
+            assert (lo * lo + 1) % p == 0
+            for rec in records:
+                assert rec.factors == _sympy_factors(rec.n), (p, width, rec.n)
+
+
+def test_sieve_segment_two_primes_above_the_width():
+    n = 20000004  # n^2+1 = 53 * 5653 * 27529 * 48497
+    records = sieve_segment(n - 500, n + 499)
+    rec = records[500]
+    assert rec.n == n
+    assert rec.factors == ((53, 1), (5653, 1), (27529, 1), (48497, 1))
+    for rec in records[::37]:
+        assert rec.factors == _sympy_factors(rec.n), rec.n
 
 
 def test_factorize_value_examples():
@@ -186,3 +241,29 @@ def test_workers_give_identical_stream():
     seq = list(iter_records(2, 1200, segment_size=100, workers=1))
     par = list(iter_records(2, 1200, segment_size=100, workers=3))
     assert seq == par
+
+
+def test_pool_worker_returns_plain_columns():
+    ns, factors = _sieve_worker((2, 300))
+    records = sieve_segment(2, 300)
+    assert ns == [rec.n for rec in records]
+    assert factors == [rec.factors for rec in records]
+
+
+def test_iter_records_bounds_segments_in_flight(monkeypatch):
+    submitted = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    workers, size = 2, 50
+    records = []
+    for k, rec in enumerate(iter_records(2, 1201, segment_size=size, workers=workers)):
+        # segment k // size is being consumed; at most 2 * workers beyond it
+        assert len(submitted) <= k // size + 1 + 2 * workers, (k, len(submitted))
+        records.append(rec)
+    assert len(submitted) == 24
+    assert records == list(iter_records(2, 1201, segment_size=size, workers=1))
