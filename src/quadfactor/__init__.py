@@ -4,17 +4,14 @@ divisors."""
 
 from .chebsums import (
     KahanSum,
-    SecondaryTerms,
     SumLedger,
     TailBounds,
     mertens_ap,
+    mertens_prefixes,
     pi_counting,
     power_cutoff,
-    primary_term,
-    secondary_term,
     sum_ledger,
     tail_bound_chain,
-    totient,
 )
 from .modmath import (
     PrimePowerRoot,
@@ -22,8 +19,6 @@ from .modmath import (
     hensel_lift,
     is_prime,
     iter_primes,
-    mulmod,
-    powmod,
     primes_in,
     sqrt_minus_one,
 )

@@ -3,16 +3,19 @@
 The primary term is 2x * sum(log p / p) over p = 1 (mod 4) up to a cutoff
 x^(1+delta); the secondary term carries the fractional parts of (x +- b_p)/p.
 All sums run over ascending primes with compensated accumulation, so results
-are reproducible bit for bit.
+are reproducible bit for bit.  Each is a prefix sum of one ascending stream,
+so every cutoff of a request is read off a single pass: a compensated sum
+that has taken the first k terms is in exactly the state a fresh pass over
+those k terms would reach.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .modmath import _root_for_prime, iter_primes
+from .modmath import iter_primes, iter_root_rows
 
 SIEVE_CUTOFF_MAX = 2**31
 
@@ -45,30 +48,6 @@ class SumLedger:
     mertens: float
     residual_R: float
     residual_S: float
-    term_count: int
-
-
-@dataclass(frozen=True, slots=True)
-class SecondaryTerms:
-    """Secondary-term total plus its per-sign head/tail split.
-
-    For each sign the tail piece covers primes where 0 <= x +- b < p, i.e.
-    where the fractional part IS the plain quotient; the head piece keeps the
-    generic residue form.  split_total regroups the same summands, so it must
-    agree with total up to accumulation order.  mod8_variant restricts the
-    plus-sign sum to p = 1 (mod 8) and is reported for comparison only.
-    """
-
-    x: int
-    delta: float
-    cutoff: int
-    total: float
-    minus_head: float
-    minus_tail: float
-    plus_head: float
-    plus_tail: float
-    split_total: float
-    mod8_variant: float
     term_count: int
 
 
@@ -115,24 +94,6 @@ def power_cutoff(x: int, delta: float, limit: Optional[int] = SIEVE_CUTOFF_MAX) 
     return cutoff
 
 
-def totient(q: int) -> int:
-    """Euler's phi by trial factorization (moduli here are tiny)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    result = q
-    m = q
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _check_residue(q: int, a: int) -> None:
     if q < 1:
         raise ValueError("modulus q must be >= 1")
@@ -150,78 +111,25 @@ def pi_counting(z: int, q: int, a: int) -> int:
 
 def mertens_ap(z: int, q: int, a: int) -> float:
     """sum of log p / p over primes p <= z, p = a (mod q), ascending order."""
+    return mertens_prefixes([z], q, a)[0]
+
+
+def mertens_prefixes(cutoffs: Sequence[int], q: int, a: int) -> list[float]:
+    """mertens_ap(z, q, a) for every z in cutoffs, in input order, from one
+    ascending pass up to the largest cutoff."""
     _check_residue(q, a)
+    marks = sorted(set(cutoffs))
+    seen: dict[int, float] = {}
     acc = KahanSum()
-    if z >= 2:
-        for p in iter_primes(2, z, (q, a)):
+    if marks and marks[-1] >= 2:
+        for p in iter_primes(2, marks[-1], (q, a)):
+            # seen fills in ascending order, so marks[len(seen)] is the next cutoff
+            while p > marks[len(seen)]:
+                seen[marks[len(seen)]] = acc.total
             acc.add(math.log(p) / p)
-    return acc.total
-
-
-def primary_term(x: int, delta: float) -> tuple[float, float]:
-    """2x * mertens over p = 1 (mod 4) up to x^(1+delta), and its residual
-    against the main term (1+delta) * x * log x."""
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    cutoff = power_cutoff(x, delta)
-    value = 2.0 * x * mertens_ap(cutoff, 4, 1)
-    return value, value - (1.0 + delta) * x * math.log(x)
-
-
-def secondary_term(x: int, delta: float) -> SecondaryTerms:
-    """Fractional-part sum sum({(x-b)/p} + {(x+b)/p}) log p over p = 1 (mod 4).
-
-    Each fractional part is the exact residue over p, converted to float once
-    per summand.  .total adds both signs per prime; the head/tail fields split
-    the same series by whether the plain-quotient form applies.  Note b can
-    exceed x once p > 2x, so the minus-sign tail condition is 0 <= x-b < p,
-    not just p > x-b.
-    """
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    cutoff = power_cutoff(x, delta)
-    total = KahanSum()
-    minus_head = KahanSum()
-    minus_tail = KahanSum()
-    plus_head = KahanSum()
-    plus_tail = KahanSum()
-    minus_all = KahanSum()
-    plus_mod8 = KahanSum()
-    count = 0
-    for p in iter_primes(2, cutoff, (4, 1)):
-        count += 1
-        b = _root_for_prime(p)
-        logp = math.log(p)
-        zm = x - b
-        zp = x + b
-        fm = (zm % p) / p
-        fp = (zp % p) / p
-        total.add((fm + fp) * logp)
-        minus_all.add(fm * logp)
-        if 0 <= zm < p:
-            minus_tail.add(zm / p * logp)
-        else:
-            minus_head.add(fm * logp)
-        if zp < p:
-            plus_tail.add(zp / p * logp)
-        else:
-            plus_head.add(fp * logp)
-        if p % 8 == 1:
-            plus_mod8.add(fp * logp)
-    split = minus_head.total + minus_tail.total + plus_head.total + plus_tail.total
-    return SecondaryTerms(
-        x=x,
-        delta=delta,
-        cutoff=cutoff,
-        total=total.total,
-        minus_head=minus_head.total,
-        minus_tail=minus_tail.total,
-        plus_head=plus_head.total,
-        plus_tail=plus_tail.total,
-        split_total=split,
-        mod8_variant=minus_all.total + plus_mod8.total,
-        term_count=count,
-    )
+    for z in marks[len(seen) :]:
+        seen[z] = acc.total
+    return [seen[z] for z in cutoffs]
 
 
 def tail_bound_chain(x: int, delta: float, b: int) -> TailBounds:
@@ -259,27 +167,50 @@ def tail_bound_chain(x: int, delta: float, b: int) -> TailBounds:
     )
 
 
-def sum_ledger(x: int, delta: float) -> SumLedger:
-    """Evaluate the full (x, delta) ledger.
+def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
+    """Evaluate the (x, delta) ledger for every delta, in input order.
 
-    R is 2x times the mertens value by construction (same accumulation), and
-    term_count re-counts the identical prime set.
+    Every cutoff is validated before any work.  One ascending pass over the
+    root rows up to the largest cutoff accumulates the mertens sum and the
+    fractional-part sum sum({(x-b)/p} + {(x+b)/p}) log p, and snapshots them
+    with the term count as p passes each cutoff.  Each fractional part is the
+    exact residue over p, converted to float once per summand; R is 2x times
+    the mertens value.
     """
     if x < 2:
         raise ValueError("x must be >= 2")
-    cutoff = power_cutoff(x, delta)
-    mertens = mertens_ap(cutoff, 4, 1)
-    r_value = 2.0 * x * mertens
-    sec = secondary_term(x, delta)
+    cutoffs = [power_cutoff(x, delta) for delta in deltas]
+    marks = sorted(set(cutoffs))
+    seen: dict[int, tuple[float, float, int]] = {}
+    mertens = KahanSum()
+    sec = KahanSum()
+    count = 0
+    for rows in iter_root_rows(marks[-1]) if marks else ():
+        for p, b in rows.tolist():
+            while p > marks[len(seen)]:
+                seen[marks[len(seen)]] = (mertens.total, sec.total, count)
+            count += 1
+            logp = math.log(p)
+            mertens.add(logp / p)
+            sec.add(((x - b) % p / p + (x + b) % p / p) * logp)
+    for cutoff in marks[len(seen) :]:
+        seen[cutoff] = (mertens.total, sec.total, count)
     xlogx = x * math.log(x)
-    return SumLedger(
-        x=x,
-        delta=delta,
-        cutoff=cutoff,
-        R=r_value,
-        S=sec.total,
-        mertens=mertens,
-        residual_R=r_value - (1.0 + delta) * xlogx,
-        residual_S=sec.total - delta * xlogx,
-        term_count=sec.term_count,
-    )
+    ledgers = []
+    for delta, cutoff in zip(deltas, cutoffs):
+        m, s_value, terms = seen[cutoff]
+        r_value = 2.0 * x * m
+        ledgers.append(
+            SumLedger(
+                x=x,
+                delta=delta,
+                cutoff=cutoff,
+                R=r_value,
+                S=s_value,
+                mertens=m,
+                residual_R=r_value - (1.0 + delta) * xlogx,
+                residual_S=s_value - delta * xlogx,
+                term_count=terms,
+            )
+        )
+    return ledgers

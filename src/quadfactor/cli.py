@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .chebsums import mertens_ap, sum_ledger
+from .chebsums import mertens_prefixes, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE, primes_in, sqrt_minus_one
 from .polysieve import HI_MAX, iter_records, records_scan
 from .rootcount import solution_count
@@ -37,8 +37,6 @@ class RunConfig:
     segment_size: int
     output: Optional[str]
     fmt: str
-    tail_tolerance: float = 1e-3
-    seed: int = 0
 
 
 def _fmt_value(v: object) -> str:
@@ -151,8 +149,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         segment_size=args.segment_size,
         output=args.output,
         fmt=args.format,
-        tail_tolerance=getattr(args, "tail_tolerance", 1e-3),
-        seed=getattr(args, "seed", 0),
     )
 
 
@@ -197,24 +193,24 @@ def _cmd_sums(args: argparse.Namespace, config: RunConfig) -> int:
         raise ValueError(f"q must be in [1, {Q_MAX}]")
     if math.gcd(args.a % args.q, args.q) != 1:
         raise ValueError(f"residue {args.a} is not invertible mod {args.q}")
-    rows = []
-    for delta in args.delta:
-        led = sum_ledger(args.x, delta)
-        rows.append(
-            (
-                led.x,
-                led.delta,
-                led.cutoff,
-                led.R,
-                led.S,
-                led.residual_R,
-                led.residual_S,
-                led.term_count,
-                args.q,
-                args.a,
-                mertens_ap(led.cutoff, args.q, args.a),
-            )
+    ledgers = sum_ledger(args.x, args.delta)
+    mertens = mertens_prefixes([led.cutoff for led in ledgers], args.q, args.a)
+    rows = [
+        (
+            led.x,
+            led.delta,
+            led.cutoff,
+            led.R,
+            led.S,
+            led.residual_R,
+            led.residual_S,
+            led.term_count,
+            args.q,
+            args.a,
+            m,
         )
+        for led, m in zip(ledgers, mertens)
+    ]
     header = (
         "x", "delta", "cutoff", "R", "S", "residual_R", "residual_S",
         "term_count", "q", "a", "mertens",
@@ -228,9 +224,9 @@ def _cmd_verify_counts(args: argparse.Namespace, config: RunConfig) -> int:
         raise ValueError("verify counts supports x in [1, 10^6]")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     pool = primes_in(5, 10**5, (4, 1))
-    _log(f"verify counts: seed={config.seed} trials={args.trials} x_max={args.x}")
+    _log(f"verify counts: seed={args.seed} trials={args.trials} x_max={args.x}")
     failures = 0
     rows = []
     for trial in range(args.trials):
@@ -271,14 +267,12 @@ def _cmd_verify_counts(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
     _require_interval_x(args.x)
-    records = list(
-        iter_records(args.x + 1, 2 * args.x, config.segment_size, config.workers)
-    )
     curve = coverage_curve(
         args.x,
         with_prime_powers=args.prime_powers,
-        tail_tolerance=config.tail_tolerance,
-        records=records,
+        tail_tolerance=args.tail_tolerance,
+        segment_size=config.segment_size,
+        workers=config.workers,
     )
     rows = (
         (curve.x, y, c, rho, curve.with_prime_powers) for y, c, rho in curve.points
@@ -289,11 +283,7 @@ def _cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
         f"tail_tolerance={curve.tail_tolerance:g} delta_star={curve.delta_star}"
     )
     for tol in (1e-2, 1e-3, 1e-4):
-        alt = coverage_curve(
-            args.x, with_prime_powers=args.prime_powers, tail_tolerance=tol,
-            records=records,
-        )
-        _log(f"coverage: delta_star at tolerance {tol:g} = {alt.delta_star}")
+        _log(f"coverage: delta_star at tolerance {tol:g} = {curve.delta_star_at(tol)}")
     return 0
 
 
@@ -307,19 +297,17 @@ def _cmd_chain(args: argparse.Namespace, config: RunConfig) -> int:
         raise ValueError(f"bad delta grid: {exc}") from None
     if not grid:
         raise ValueError("delta grid is empty")
-    records = list(
-        iter_records(args.x + 1, 2 * args.x, config.segment_size, config.workers)
+    ledgers = contradiction_probe(
+        args.x, grid, segment_size=config.segment_size, workers=config.workers
     )
-    rows = []
-    for delta in grid:
-        led = contradiction_probe(args.x, delta, records=records)
-        rows.append(
-            (
-                led.x, led.delta, led.cutoff, led.lhs_exact, led.lhs_main_term,
-                led.lambda_side, led.n_trunc, led.R, led.S, led.margin,
-                led.margin_exact,
-            )
+    rows = [
+        (
+            led.x, led.delta, led.cutoff, led.lhs_exact, led.lhs_main_term,
+            led.lambda_side, led.n_trunc, led.R, led.S, led.margin,
+            led.margin_exact,
         )
+        for led in ledgers
+    ]
     header = (
         "x", "delta", "cutoff", "lhs_exact", "lhs_main_term", "lambda_side",
         "n_trunc", "R", "S", "margin", "margin_exact",

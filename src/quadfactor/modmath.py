@@ -71,22 +71,6 @@ class PrimePowerRoot:
             raise ValueError(f"{self.r}^2 + 1 is not divisible by {self.m}")
 
 
-def mulmod(a: int, b: int, m: int) -> int:
-    """a*b mod m, exact for any 64-bit operands."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    return (a * b) % m
-
-
-def powmod(a: int, e: int, m: int) -> int:
-    """a^e mod m with e >= 0, exact for any 64-bit operands."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(a, e, m)
-
-
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2^64."""
     if n < 0 or n > U64_MAX:
@@ -266,16 +250,24 @@ def root_table(hi: int) -> "numpy.ndarray":
 
 
 def _build_root_table(hi: int, chunk: int = _TABLE_CHUNK) -> "numpy.ndarray":
-    """Uncached root_table: a chunked sieve over n = 4i+1, then batched roots.
+    """Uncached root_table: the chunks of iter_root_rows joined."""
+    import numpy as np
 
-    hi <= HI_MAX is the caller's contract.  Every row is audited with
-    (b*b + 1) % p == 0, chunk by chunk; a failure raises AssertionError.
+    return np.concatenate([np.empty((0, 2), dtype=np.uint32), *iter_root_rows(hi, chunk)])
+
+
+def iter_root_rows(hi: int, chunk: int = _TABLE_CHUNK) -> Iterator["numpy.ndarray"]:
+    """The rows of root_table(hi), ascending, one uint32 block per sieve chunk.
+
+    A chunked sieve over n = 4i+1, then batched roots; only one chunk is in
+    memory at a time.  hi <= HI_MAX is the caller's contract.  Every row is
+    audited with (b*b + 1) % p == 0 before its chunk is yielded; a failure
+    raises AssertionError.
     """
     import numpy as np
 
     base = _base_primes(math.isqrt(max(hi, 0)) + 1)
     top = (hi - 1) // 4  # largest i with 4i+1 <= hi
-    parts = [np.empty((0, 2), dtype=np.uint32)]
     for i_lo in range(1, top + 1, chunk):
         i_hi = min(i_lo + chunk, top + 1)
         composite = np.zeros(i_hi - i_lo, dtype=bool)
@@ -292,8 +284,7 @@ def _build_root_table(hi: int, chunk: int = _TABLE_CHUNK) -> "numpy.ndarray":
         if bad.size:
             i = int(bad[0])
             raise AssertionError(f"root table: {b[i]}^2 + 1 is not divisible by {p[i]}")
-        parts.append(np.column_stack((p, b)).astype(np.uint32))
-    return np.concatenate(parts)
+        yield np.column_stack((p, b)).astype(np.uint32)
 
 
 def _batch_roots(p: "numpy.ndarray", base: Tuple[int, ...]) -> "numpy.ndarray":

@@ -8,11 +8,13 @@ each delta.  Anything asymptotic is measured and reported, never asserted.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .chebsums import KahanSum, power_cutoff, primary_term, secondary_term
+from .chebsums import KahanSum, power_cutoff, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE
 from .polysieve import FactorizationRecord, HI_MAX, incidence_counts, iter_records
 
@@ -48,10 +50,8 @@ class CoverageCurve:
     """Cumulative share of sum(log(n^2+1)) explained by divisors up to y.
 
     points holds (y, C, rho) at the delta grid cutoffs y = x^(1+delta) plus
-    the terminal y = 4x^2+1; delta_star is the smallest delta whose cutoff
-    already covers all but tail_tolerance of the total (None if the curve
-    never gets there, which happens without prime powers once the dropped
-    power mass exceeds the tolerance).
+    the terminal y = 4x^2+1; cumulative holds (d, C(d)) at every divisor key
+    d, ascending.  delta_star is delta_star_at(tail_tolerance).
     """
 
     x: int
@@ -59,7 +59,23 @@ class CoverageCurve:
     tail_tolerance: float
     total: float
     points: Tuple[Tuple[int, float, float], ...]
-    delta_star: Optional[float]
+    cumulative: Tuple[Tuple[int, float], ...]
+
+    @property
+    def delta_star(self) -> Optional[float]:
+        return self.delta_star_at(self.tail_tolerance)
+
+    def delta_star_at(self, tail_tolerance: float) -> Optional[float]:
+        """Smallest delta whose cutoff x^(1+delta) already covers all but
+        tail_tolerance of the total, read off the exact cumulative curve (None
+        if the curve never gets there, which happens without prime powers once
+        the dropped power mass exceeds the tolerance)."""
+        _check_tolerance(tail_tolerance)
+        threshold = (1.0 - tail_tolerance) * self.total
+        for d, c in self.cumulative:
+            if c >= threshold:
+                return math.log(d) / math.log(self.x) - 1.0 if self.x > 1 else 0.0
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +94,11 @@ def _check_x(x: int) -> None:
         raise ValueError("x must be >= 1")
     if x > HI_MAX // 2:
         raise OverflowError(f"x={x} above 2^30: 2x exceeds the sieve bound")
+
+
+def _check_tolerance(tail_tolerance: float) -> None:
+    if not 0 < tail_tolerance < 1:
+        raise ValueError("tail_tolerance must be in (0, 1)")
 
 
 def _interval_records(
@@ -125,26 +146,11 @@ def lambda_identity_check(
     )
 
 
-def coverage_curve(
-    x: int,
-    with_prime_powers: bool = True,
-    tail_tolerance: float = 1e-3,
-    records: Optional[Iterable[FactorizationRecord]] = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> CoverageCurve:
-    """Accumulate C(y) = sum(log p * incidence(d)) over divisors d <= y.
-
-    Primes up to 2x enter through their sieve incidence; larger primes enter
-    through each record's residual (several records may share one residual
-    prime, and each occurrence counts).  delta_star is read off the exact
-    cumulative curve, not the reporting grid.
-    """
-    _check_x(x)
-    if not 0 < tail_tolerance < 1:
-        raise ValueError("tail_tolerance must be in (0, 1)")
-    recs = _interval_records(x, records, segment_size, workers)
-    top = 4 * x * x + 1
+def _cumulative(
+    x: int, recs: Sequence[FactorizationRecord], top: int, with_prime_powers: bool
+) -> list[Tuple[int, float]]:
+    """(d, C(d)) for every divisor key d <= top, ascending, where C(d) is the
+    compensated sum of log p * incidence over the keys up to d."""
     counts = incidence_counts(x, top, with_prime_powers, records=recs)
     base_prime: dict[int, int] = {}
     if with_prime_powers:
@@ -157,79 +163,102 @@ def coverage_curve(
                     if d > top:
                         break
                     base_prime[d] = p
-    total = lhs_logsum(x)
     acc = KahanSum()
-    cumulative: list[Tuple[int, float]] = []
+    cumulative = []
     for d, count in sorted(counts.items()):
         acc.add(math.log(base_prime.get(d, d)) * count)
         cumulative.append((d, acc.total))
+    return cumulative
+
+
+def _covered(cumulative: Sequence[Tuple[int, float]], y: int) -> float:
+    """C(y): the cumulative value at the last key d <= y, 0.0 below the first."""
+    idx = bisect.bisect_right(cumulative, y, key=operator.itemgetter(0))
+    return cumulative[idx - 1][1] if idx else 0.0
+
+
+def coverage_curve(
+    x: int,
+    with_prime_powers: bool = True,
+    tail_tolerance: float = 1e-3,
+    records: Optional[Iterable[FactorizationRecord]] = None,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    workers: int = 1,
+) -> CoverageCurve:
+    """Accumulate C(y) = sum(log p * incidence(d)) over divisors d <= y.
+
+    Primes up to 2x enter through their sieve incidence; larger primes enter
+    through each record's residual (several records may share one residual
+    prime, and each occurrence counts).  The curve keeps every cumulative
+    point, so delta_star at any tolerance comes from this one evaluation.
+    """
+    _check_x(x)
+    _check_tolerance(tail_tolerance)
+    recs = _interval_records(x, records, segment_size, workers)
+    top = 4 * x * x + 1
+    cumulative = _cumulative(x, recs, top, with_prime_powers)
+    total = lhs_logsum(x)
     points = []
-    idx = 0
-    running = 0.0
-    for delta in DELTA_GRID:
-        y = min(power_cutoff(x, delta, limit=None), top)
-        while idx < len(cumulative) and cumulative[idx][0] <= y:
-            running = cumulative[idx][1]
-            idx += 1
-        points.append((y, running, running / total if total else 0.0))
-    final = cumulative[-1][1] if cumulative else 0.0
-    points.append((top, final, final / total if total else 0.0))
-    threshold = (1.0 - tail_tolerance) * total
-    delta_star = None
-    for d, c in cumulative:
-        if c >= threshold:
-            delta_star = math.log(d) / math.log(x) - 1.0 if x > 1 else 0.0
-            break
+    for y in [min(power_cutoff(x, delta, limit=None), top) for delta in DELTA_GRID] + [top]:
+        c = _covered(cumulative, y)
+        points.append((y, c, c / total if total else 0.0))
     return CoverageCurve(
         x=x,
         with_prime_powers=with_prime_powers,
         tail_tolerance=tail_tolerance,
         total=total,
         points=tuple(points),
-        delta_star=delta_star,
+        cumulative=tuple(cumulative),
     )
 
 
 def contradiction_probe(
     x: int,
-    delta: float,
+    deltas: Sequence[float],
     records: Optional[Iterable[FactorizationRecord]] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-) -> ChainLedger:
-    """Evaluate both sides of the truncated inequality at one delta.
+) -> list[ChainLedger]:
+    """Evaluate both sides of the truncated inequality at every delta, in
+    input order.
 
-    Emits the truncated incidence sum, R and S, the margin 2x log x - (R+S)
-    whose sign flip across delta is the contradiction mechanism, and the
-    ground-truth margin lhs_exact - n_trunc.
+    Each ledger carries the truncated incidence sum, R and S, the margin
+    2x log x - (R+S) whose sign flip across delta is the contradiction
+    mechanism, and the ground-truth margin lhs_exact - n_trunc.  Every delta
+    is checked (range, then cutoff) before any work; the records, both sides
+    of the log sum and the incidence cumulative are computed once, and
+    n_trunc at each cutoff is read off that cumulative.
     """
     _check_x(x)
     if x < 2:
         raise ValueError("x must be >= 2")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must be in [0, 1]")
-    cutoff = power_cutoff(x, delta)
+    cutoffs = []
+    for delta in deltas:
+        if not 0.0 <= delta <= 1.0:
+            raise ValueError("delta must be in [0, 1]")
+        cutoffs.append(power_cutoff(x, delta))
     recs = _interval_records(x, records, segment_size, workers)
     ledger = lambda_identity_check(x, records=recs)
-    counts = incidence_counts(x, cutoff, False, records=recs)
-    acc = KahanSum()
-    for p, count in sorted(counts.items()):
-        acc.add(math.log(p) * count)
-    r_value, _ = primary_term(x, delta)
-    s_value = secondary_term(x, delta).total
-    return ChainLedger(
-        x=x,
-        lhs_exact=ledger.lhs_exact,
-        lhs_main_term=ledger.lhs_main_term,
-        lambda_side=ledger.lambda_side,
-        delta=delta,
-        cutoff=cutoff,
-        n_trunc=acc.total,
-        R=r_value,
-        S=s_value,
-        margin=ledger.lhs_main_term - (r_value + s_value),
-        margin_exact=ledger.lhs_exact - acc.total,
-    )
+    cumulative = _cumulative(x, recs, max(cutoffs, default=1), False)
+    out = []
+    for sums in sum_ledger(x, deltas):
+        n_trunc = _covered(cumulative, sums.cutoff)
+        out.append(
+            ChainLedger(
+                x=x,
+                lhs_exact=ledger.lhs_exact,
+                lhs_main_term=ledger.lhs_main_term,
+                lambda_side=ledger.lambda_side,
+                delta=sums.delta,
+                cutoff=sums.cutoff,
+                n_trunc=n_trunc,
+                R=sums.R,
+                S=sums.S,
+                margin=ledger.lhs_main_term - (sums.R + sums.S),
+                margin_exact=ledger.lhs_exact - n_trunc,
+            )
+        )
+    return out
 
 
 def largest_prime_probe(

@@ -65,10 +65,24 @@ def scan_count_closed(x: int, p: int) -> int:
     return sum(1 for n in range(x, 2 * x + 1) if (n * n + 1) % p == 0)
 
 
-def squares_mod(p: int) -> set[int]:
-    return {n * n % p for n in range(p)}
-
-
 def roots_of_minus_one(m: int) -> list[int]:
     """All r in [0, m) with r^2 + 1 = 0 (mod m), by exhaustive scan."""
     return [r for r in range(m) if (r * r + 1) % m == 0]
+
+
+def totient(q: int) -> int:
+    """Euler's phi by trial factorization (moduli here are tiny)."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    result = q
+    m = q
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            while m % d == 0:
+                m //= d
+            result -= result // d
+        d += 1
+    if m > 1:
+        result -= result // m
+    return result

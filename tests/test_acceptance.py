@@ -127,8 +127,8 @@ def test_criterion_5_summandwise_bound():
     try:
         x = 10**3
         records = sieve_segment(x + 1, 2 * x)
-        for delta in (0.0, 0.25, 0.5):
-            led = contradiction_probe(x, delta, records=records)
+        deltas = (0.0, 0.25, 0.5)
+        for delta, led in zip(deltas, contradiction_probe(x, deltas, records=records)):
             assert led.n_trunc <= led.R + led.S, delta
             cutoff = power_cutoff(x, delta)
             counts = incidence_counts(x, cutoff, records=records)

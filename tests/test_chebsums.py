@@ -1,22 +1,25 @@
+import functools
 import math
+import random
 from math import gcd, log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadfactor import chebsums
 from quadfactor.chebsums import (
     KahanSum,
     mertens_ap,
+    mertens_prefixes,
     pi_counting,
     power_cutoff,
-    primary_term,
-    secondary_term,
     sum_ledger,
     tail_bound_chain,
-    totient,
 )
-from quadfactor.modmath import primes_in, sqrt_minus_one
+from quadfactor.modmath import iter_root_rows, primes_in, sqrt_minus_one
 
-from oracles import sieve_flags
+from oracles import sieve_flags, totient
 
 PI_1E6_4_1 = 39175  # frozen from a one-shot sieve enumeration (re-derived below)
 
@@ -84,32 +87,32 @@ def test_power_cutoff_guard_band():
 
 
 def test_primary_term_examples():
-    value, residual = primary_term(2, 0.0)
-    assert value == 0.0  # no primes = 1 (mod 4) up to 2
-    value, residual = primary_term(10**4, 0.5)
+    assert sum_ledger(2, [0.0])[0].R == 0.0  # no primes = 1 (mod 4) up to 2
+    led = sum_ledger(10**4, [0.5])[0]
     # cutoff 1e6; residual against 1.5 x log x stays O(x log log x) in measure
-    assert value == pytest.approx(1.5 * 10**4 * log(10**4) + residual)
-    assert abs(residual) < 3 * 10**4 * log(log(10**4))
+    assert led.R == pytest.approx(1.5 * 10**4 * log(10**4) + led.residual_R)
+    assert abs(led.residual_R) < 3 * 10**4 * log(log(10**4))
     with pytest.raises(ValueError):
-        primary_term(1, 0.0)
+        sum_ledger(1, [0.0])
 
 
 def test_primary_term_is_shared_path_with_mertens():
-    for x, delta in ((10**3, 0.0), (10**3, 0.4), (10**5, 0.2)):
-        cutoff = power_cutoff(x, delta)
-        value, _ = primary_term(x, delta)
-        assert value == 2.0 * x * mertens_ap(cutoff, 4, 1)  # bit-for-bit
+    # R and the term count against independent single-cutoff prime passes
+    for x, deltas in ((10**3, [0.0, 0.4]), (10**5, [0.2]), (57, [0.7, 0.0, 0.7])):
+        for led in sum_ledger(x, deltas):
+            assert led.R == 2.0 * x * mertens_ap(led.cutoff, 4, 1)  # bit-for-bit
+            assert led.term_count == pi_counting(led.cutoff, 4, 1)
 
 
 def test_primary_term_monotone_in_delta():
-    values = [primary_term(10**4, d)[0] for d in (0.0, 0.1, 0.25, 0.5)]
+    values = [led.R for led in sum_ledger(10**4, [0.0, 0.1, 0.25, 0.5])]
     assert values == sorted(values)
 
 
 def test_primary_residual_stability_across_decades():
     ratios = []
     for x in (10**4, 10**5, 10**6):
-        _, residual = primary_term(x, 0.0)
+        residual = sum_ledger(x, [0.0])[0].residual_R
         ratios.append(residual / (x * log(log(x))))
     magnitudes = [abs(r) for r in ratios]
     assert max(magnitudes) / min(magnitudes) < 2.0
@@ -117,19 +120,10 @@ def test_primary_residual_stability_across_decades():
 
 
 def test_secondary_term_empty_below_first_prime():
-    sec = secondary_term(2, 0.0)
-    assert sec.total == 0.0 and sec.term_count == 0
-    sec = secondary_term(4, 0.1)  # cutoff 4 < 5
-    assert sec.total == 0.0
-
-
-def test_secondary_term_split_consistency():
-    sec = secondary_term(10**3, 0.2)
-    assert sec.total > 0
-    assert abs(sec.total - sec.split_total) <= 1e-9 * sec.total
-    # head + tail regroup the same summands per sign
-    assert sec.minus_head >= 0 and sec.minus_tail >= 0
-    assert sec.plus_head >= 0 and sec.plus_tail >= 0
+    led = sum_ledger(2, [0.0])[0]
+    assert led.S == 0.0 and led.term_count == 0
+    led = sum_ledger(4, [0.1])[0]  # cutoff 4 < 5
+    assert led.S == 0.0 and led.term_count == 0
 
 
 def test_secondary_term_summands_bounded():
@@ -140,7 +134,8 @@ def test_secondary_term_summands_bounded():
         summand = ((x - b) % p / p + (x + b) % p / p) * log(p)
         assert 0 <= summand < 2 * log(p)
         sec_total.add(summand)
-    assert sec_total.total == pytest.approx(secondary_term(x, 0.3).total, rel=1e-12)
+    # same summands in the same order, from scalar roots: equal bit for bit
+    assert sec_total.total == sum_ledger(x, [0.3])[0].S
 
 
 def test_secondary_term_probe_at_1e5_reported():
@@ -149,11 +144,11 @@ def test_secondary_term_probe_at_1e5_reported():
     # grows like theta(cutoff)/2 instead of delta x log x.  The ratio is a
     # measurement, recorded here only to pin the order of magnitude.
     x = 10**5
-    sec = secondary_term(x, 0.5)
-    ratio = sec.total / (0.5 * x * log(x))
-    assert sec.total > 0
+    led = sum_ledger(x, [0.5])[0]
+    ratio = led.S / (0.5 * x * log(x))
+    assert led.S > 0
     assert 1.0 < ratio < 60.0
-    assert sec.term_count == pi_counting(power_cutoff(x, 0.5), 4, 1)
+    assert led.term_count == pi_counting(power_cutoff(x, 0.5), 4, 1)
 
 
 def test_tail_bound_chain_b0_symmetry():
@@ -180,9 +175,64 @@ def test_tail_bound_chain_empty_window():
 
 
 def test_sum_ledger_invariants():
-    led = sum_ledger(10**3, 0.25)
+    (led,) = sum_ledger(10**3, [0.25])
     assert led.R == 2.0 * led.x * led.mertens  # exact, shared path
     assert led.S >= 0
     assert led.term_count == pi_counting(led.cutoff, 4, 1)
     assert led.cutoff == power_cutoff(10**3, 0.25)
     assert led.residual_R == led.R - 1.25 * led.x * log(led.x)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    x=st.integers(min_value=2, max_value=3000),
+    deltas=st.lists(
+        st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.25, 0.4, 0.5, 0.7, 1.0]),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_sum_ledger_sweep_equals_single_delta_calls(x, deltas):
+    # shuffled and repeated deltas: each snapshot of the one ascending pass
+    # equals, in every field and bit for bit, a pass that stops at its cutoff
+    deltas = deltas + deltas[:2]
+    random.Random(x).shuffle(deltas)
+    sweep = sum_ledger(x, deltas)
+    assert [led.delta for led in sweep] == deltas
+    for led, delta in zip(sweep, deltas):
+        assert led == sum_ledger(x, [delta])[0]
+
+
+def test_sum_ledger_sweep_independent_of_chunk_size(monkeypatch):
+    deltas = [0.5, 0.0, 0.3, 0.3, 0.1]
+    expected = sum_ledger(2000, deltas)
+    # a 7-candidate chunk puts chunk boundaries between almost every pair of rows
+    monkeypatch.setattr(chebsums, "iter_root_rows", functools.partial(iter_root_rows, chunk=7))
+    assert sum_ledger(2000, deltas) == expected
+
+
+def test_sum_ledger_validates_every_cutoff_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise RuntimeError("prime pass started")
+
+    monkeypatch.setattr(chebsums, "iter_root_rows", no_work)
+    with pytest.raises(OverflowError, match="exceeds sieve bound"):
+        sum_ledger(30000, [0.2, 1.2])
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        sum_ledger(100, [0.1, -0.5])
+    assert sum_ledger(100, []) == []
+
+
+def test_mertens_prefixes_match_direct_passes():
+    cutoffs = [1000, 2, 1, 50000, 1000, 99991]
+    for q, a in ((4, 1), (3, 2), (12, 7), (1, 0)):
+        direct = []
+        for z in cutoffs:
+            acc = KahanSum()
+            for p in primes_in(2, z, (q, a)) if z >= 2 else []:
+                acc.add(log(p) / p)
+            direct.append(acc.total)
+        assert mertens_prefixes(cutoffs, q, a) == direct
+    assert mertens_prefixes([], 4, 1) == []
+    with pytest.raises(ValueError):
+        mertens_prefixes([100], 4, 2)

@@ -210,3 +210,39 @@ def test_startup_does_not_import_numpy():
     }
     assert "quadfactor.cli" in imported
     assert not [m for m in imported if m.split(".")[0] == "numpy"]
+
+
+@pytest.fixture
+def no_prime_work(monkeypatch):
+    """Make every sieve, prime stream and root table entry point raise."""
+    import quadfactor.chebsums
+    import quadfactor.modmath
+    import quadfactor.polysieve
+    import quadfactor.verifier
+    import quadfactor.cli
+
+    def no_work(*args, **kwargs):
+        raise RuntimeError("prime work started")
+
+    names = ("iter_records", "iter_primes", "root_table", "iter_root_rows", "_build_root_table")
+    for mod in (quadfactor.modmath, quadfactor.polysieve, quadfactor.chebsums,
+                quadfactor.verifier, quadfactor.cli):
+        for name in names:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, no_work)
+
+
+def test_chain_refuses_out_of_envelope_grid_before_any_work(no_prime_work, capsys):
+    # the default grid reaches 10^(5*1.9) > 2^31 at delta = 0.9
+    assert main(["chain", "--x", "100000", "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cutoff 3162277660 exceeds sieve bound 2147483648\n"
+
+
+def test_sums_refuses_out_of_envelope_delta_before_any_work(no_prime_work, capsys):
+    argv = ["sums", "--x", "30000", "--delta", "0.2", "--delta", "1.2", "--workers", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cutoff 7074027770 exceeds sieve bound 2147483648\n"

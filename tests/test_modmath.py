@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quadfactor import modmath
 from quadfactor.modmath import (
@@ -14,14 +12,12 @@ from quadfactor.modmath import (
     hensel_lift,
     is_prime,
     iter_primes,
-    mulmod,
-    powmod,
     primes_in,
     root_table,
     sqrt_minus_one,
 )
 
-from oracles import roots_of_minus_one, sieve_flags, smallest_factor_upto, squares_mod
+from oracles import roots_of_minus_one, sieve_flags, smallest_factor_upto
 
 
 def test_is_prime_trivial_cases():
@@ -83,42 +79,6 @@ def test_primes_in_segment_size_independent():
 def simple_oracle_primes():
     flags = sieve_flags(10**5)
     return [n for n in range(2, 10**5 + 1) if flags[n]]
-
-
-def test_mulmod_powmod_examples():
-    assert mulmod(2**63, 2, 2**64 - 1) == (2**63 * 2) % (2**64 - 1) == 1
-    assert powmod(5, 0, 13) == 1
-    assert powmod(7, 0, 1) == 0  # everything collapses mod 1
-    # quadratic character of 5 mod 13 via the set of squares
-    euler = powmod(5, (13 - 1) // 2, 13)
-    assert euler == (1 if 5 in squares_mod(13) else 12)
-    with pytest.raises(ValueError):
-        mulmod(1, 1, 0)
-    with pytest.raises(ValueError):
-        powmod(2, -1, 5)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(
-    a=st.integers(min_value=0, max_value=2**64 - 1),
-    b=st.integers(min_value=0, max_value=2**64 - 1),
-    m=st.integers(min_value=1, max_value=2**64 - 1),
-)
-def test_mulmod_matches_wide_arithmetic(a, b, m):
-    assert mulmod(a, b, m) == a * b % m
-
-
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(
-    a=st.integers(min_value=0, max_value=2**32),
-    e=st.integers(min_value=0, max_value=300),
-    m=st.integers(min_value=1, max_value=2**32),
-)
-def test_powmod_matches_repeated_multiplication(a, e, m):
-    expected = 1 % m
-    for _ in range(e):
-        expected = expected * a % m
-    assert powmod(a, e, m) == expected
 
 
 def test_sqrt_minus_one_examples():

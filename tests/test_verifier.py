@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from quadfactor.chebsums import KahanSum, power_cutoff
+from quadfactor import verifier
+from quadfactor.chebsums import KahanSum, power_cutoff, sum_ledger
 from quadfactor.modmath import hensel_lift, iter_primes, sqrt_minus_one
-from quadfactor.polysieve import sieve_segment
+from quadfactor.polysieve import incidence_counts, sieve_segment
 from quadfactor.rootcount import count_in_class, count_root_classes
 from quadfactor.verifier import (
     contradiction_probe,
@@ -88,31 +89,64 @@ def test_coverage_prime_power_mass_is_small_but_real():
 
 def test_coverage_delta_star_tolerance_monotone():
     stars = []
+    one_curve = coverage_curve(200, with_prime_powers=True)
     for tol in (1e-1, 1e-2, 1e-3):
         curve = coverage_curve(200, with_prime_powers=True, tail_tolerance=tol)
         assert curve.delta_star is not None
+        assert one_curve.delta_star_at(tol) == curve.delta_star
         stars.append(curve.delta_star)
     assert stars == sorted(stars)
+    with pytest.raises(ValueError):
+        one_curve.delta_star_at(1.0)
 
 
 def test_contradiction_probe_truncated_bound():
     records = sieve_segment(10**3 + 1, 2 * 10**3)
-    for delta in (0.0, 0.25, 0.5):
-        led = contradiction_probe(10**3, delta, records=records)
+    deltas = [0.5, 0.0, 0.25, 0.0]
+    ledgers = contradiction_probe(10**3, deltas, records=records)
+    assert [led.delta for led in ledgers] == deltas
+    for led, delta in zip(ledgers, deltas):
         assert led.n_trunc <= led.R + led.S
         assert led.margin == led.lhs_main_term - (led.R + led.S)
         assert led.cutoff == power_cutoff(10**3, delta)
 
 
+def test_contradiction_probe_reads_each_cutoff_off_one_pass():
+    # n_trunc against a fresh compensated sum per cutoff, R and S against
+    # single-delta ledgers: bit for bit
+    x = 700
+    records = sieve_segment(x + 1, 2 * x)
+    deltas = [0.4, 0.0, 1.0, 0.1, 0.4]
+    for led in contradiction_probe(x, deltas, records=records):
+        acc = KahanSum()
+        for p, count in sorted(incidence_counts(x, led.cutoff, records=records).items()):
+            acc.add(math.log(p) * count)
+        assert led.n_trunc == acc.total
+        assert led.margin_exact == led.lhs_exact - acc.total
+        (single,) = sum_ledger(x, [led.delta])
+        assert (led.R, led.S) == (single.R, single.S)
+
+
+def test_contradiction_probe_validates_every_delta_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise RuntimeError("sieve started")
+
+    monkeypatch.setattr(verifier, "iter_records", no_work)
+    # range first, then cutoff, in the order the deltas are given
+    with pytest.raises(OverflowError, match="exceeds sieve bound"):
+        contradiction_probe(10**5, [0.5, 1.0, 1.5])
+    with pytest.raises(ValueError, match=r"delta must be in \[0, 1\]"):
+        contradiction_probe(10**5, [0.5, 1.5, 1.0])
+
+
 def test_contradiction_probe_full_cutoff_margin():
-    led = contradiction_probe(10**3, 1.0)
+    (led,) = contradiction_probe(10**3, [1.0])
     # only primes above x^2 are missing from the truncated sum
     assert 0 < led.margin_exact < 0.3 * led.lhs_exact
 
 
 def test_margin_sign_flips_across_half():
-    low = contradiction_probe(10**3, 0.0)
-    high = contradiction_probe(10**3, 0.5)
+    low, high = contradiction_probe(10**3, [0.0, 0.5])
     assert low.margin > 0 > high.margin
 
 
@@ -150,6 +184,6 @@ def test_validation():
     with pytest.raises(OverflowError):
         lhs_logsum(2**31)
     with pytest.raises(ValueError):
-        contradiction_probe(100, 1.5)
+        contradiction_probe(100, [1.5])
     with pytest.raises(ValueError):
         coverage_curve(100, tail_tolerance=0.0)
