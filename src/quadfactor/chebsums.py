@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .modmath import iter_primes, iter_root_rows
-
-SIEVE_CUTOFF_MAX = 2**31
+from .modmath import HI_MAX, iter_primes, iter_root_rows
 
 
 class KahanSum:
@@ -72,7 +70,7 @@ class TailBounds:
     residual: float
 
 
-def power_cutoff(x: int, delta: float, limit: Optional[int] = SIEVE_CUTOFF_MAX) -> int:
+def power_cutoff(x: int, delta: float, limit: Optional[int] = HI_MAX) -> int:
     """floor(x^(1+delta)) with a one-ulp guard band.
 
     math.pow is correctly rounded on this platform (and pow(x, 1) == x

@@ -194,7 +194,11 @@ def _cmd_sums(args: argparse.Namespace, config: RunConfig) -> int:
     if math.gcd(args.a % args.q, args.q) != 1:
         raise ValueError(f"residue {args.a} is not invertible mod {args.q}")
     ledgers = sum_ledger(args.x, args.delta)
-    mertens = mertens_prefixes([led.cutoff for led in ledgers], args.q, args.a)
+    if (args.q, args.a % args.q) == (4, 1):
+        # the ledger's own mertens sum runs over this class
+        mertens = [led.mertens for led in ledgers]
+    else:
+        mertens = mertens_prefixes([led.cutoff for led in ledgers], args.q, args.a)
     rows = [
         (
             led.x,

@@ -7,6 +7,7 @@ OverflowError instead of silent wraparound semantics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -103,16 +104,46 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=32)
 def _base_primes(limit: int) -> Tuple[int, ...]:
-    """One-shot sieve up to limit inclusive, for seeding segmented runs."""
-    if limit < 2:
-        return ()
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return tuple(i for i, f in enumerate(flags) if f)
+    """The primes up to limit inclusive; each level recurses to sqrt(limit)."""
+    return tuple(iter_primes(2, limit)) if limit >= 2 else ()
+
+
+def _class_sieve(
+    lo: int, hi: int, q: int, a: int, chunk: int
+) -> Iterator[Tuple[int, bytearray]]:
+    """Segmented sieve of the progression n = a (mod q), lo <= n <= hi.
+
+    Yields (n0, flags) chunks of at most chunk members, ascending, where
+    flags[j] is 1 exactly when n0 + q*j is prime.  2 <= lo and
+    gcd(a, q) == 1 are the caller's contract.  A base prime r dividing q
+    divides no member and is skipped; any other r strikes every r-th member
+    from the first member >= r^2 that it divides, so r itself survives.
+    """
+    start = lo + (a - lo) % q  # first member >= lo
+    if start > hi:
+        return
+    count = (hi - start) // q + 1
+    # (r, index of the first member >= r^2 divisible by r), r ascending
+    strikes = []
+    for r in _base_primes(math.isqrt(hi)):
+        if q % r:
+            j = -start * pow(q, -1, r) % r
+            if start + q * j < r * r:
+                j -= (start + q * j - r * r) // (q * r) * r
+            strikes.append((r, j))
+    zeros = memoryview(bytes(chunk))
+    for j_lo in range(0, count, chunk):
+        size = min(chunk, count - j_lo)
+        n0 = start + q * j_lo
+        last = n0 + q * (size - 1)
+        flags = bytearray(b"\x01") * size
+        for r, j in strikes:
+            if r * r > last:
+                break
+            s = j - j_lo if j >= j_lo else (j - j_lo) % r
+            if s < size:
+                flags[s::r] = zeros[: (size - 1 - s) // r + 1]
+        yield n0, flags
 
 
 def iter_primes(
@@ -124,40 +155,21 @@ def iter_primes(
     """Yield the primes in [lo, hi] in ascending order.
 
     An optional residue_filter (q, a) restricts the stream to p = a (mod q);
-    gcd(a, q) must be 1.  Work proceeds in fixed-size segments so memory stays
-    O(segment_size) regardless of the range.
+    gcd(a, q) must be 1.  Only that class is sieved, segment_size members
+    at a time, so memory stays O(segment_size) regardless of the range.
     """
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
-    q = a = 0
-    if residue_filter is not None:
-        q, a = residue_filter
-        if q < 1:
-            raise ValueError("modulus q must be >= 1")
-        a %= q
-        if math.gcd(a, q) != 1:
-            raise ValueError(f"residue {a} is not invertible mod {q}")
-    lo = max(lo, 2)
-    if lo > hi:
-        return
-    base = _base_primes(math.isqrt(hi))
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, hi)
-        flags = bytearray(b"\x01") * (seg_hi - seg_lo + 1)
-        for p in base:
-            if p * p > seg_hi:
-                break
-            start = max(p * p, (seg_lo + p - 1) // p * p)
-            if start <= seg_hi:
-                flags[start - seg_lo :: p] = b"\x00" * ((seg_hi - start) // p + 1)
-        pos = flags.find(1)
-        while pos != -1:
-            n = seg_lo + pos
-            if residue_filter is None or n % q == a:
-                yield n
-            pos = flags.find(1, pos + 1)
+    q, a = residue_filter if residue_filter is not None else (1, 0)
+    if q < 1:
+        raise ValueError("modulus q must be >= 1")
+    a %= q
+    if math.gcd(a, q) != 1:
+        raise ValueError(f"residue {a} is not invertible mod {q}")
+    for n0, flags in _class_sieve(max(lo, 2), hi, q, a, segment_size):
+        yield from itertools.compress(range(n0, n0 + q * len(flags), q), flags)
 
 
 def primes_in(
@@ -259,26 +271,17 @@ def _build_root_table(hi: int, chunk: int = _TABLE_CHUNK) -> "numpy.ndarray":
 def iter_root_rows(hi: int, chunk: int = _TABLE_CHUNK) -> Iterator["numpy.ndarray"]:
     """The rows of root_table(hi), ascending, one uint32 block per sieve chunk.
 
-    A chunked sieve over n = 4i+1, then batched roots; only one chunk is in
-    memory at a time.  hi <= HI_MAX is the caller's contract.  Every row is
-    audited with (b*b + 1) % p == 0 before its chunk is yielded; a failure
-    raises AssertionError.
+    The primes come from the class sieve over n = 1 (mod 4), chunk members
+    at a time, and get their roots in one batch per chunk; only one chunk is
+    in memory at a time.  hi <= HI_MAX is the caller's contract.  Every row
+    is audited with (b*b + 1) % p == 0 before its chunk is yielded; a
+    failure raises AssertionError.
     """
     import numpy as np
 
     base = _base_primes(math.isqrt(max(hi, 0)) + 1)
-    top = (hi - 1) // 4  # largest i with 4i+1 <= hi
-    for i_lo in range(1, top + 1, chunk):
-        i_hi = min(i_lo + chunk, top + 1)
-        composite = np.zeros(i_hi - i_lo, dtype=bool)
-        for p in base[1:]:
-            # odd multiples of p that are 1 (mod 4) sit at i = (p^2-1)/4 (mod p)
-            first = (p * p - 1) // 4
-            if first >= i_hi:
-                break
-            start = first if first >= i_lo else i_lo + (first - i_lo) % p
-            composite[start - i_lo :: p] = True
-        p = 4 * (np.flatnonzero(~composite).astype(np.int64) + i_lo) + 1
+    for n0, flags in _class_sieve(2, hi, 4, 1, chunk):
+        p = n0 + 4 * np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).astype(np.int64)
         b = _batch_roots(p, base)
         bad = np.flatnonzero((b * b + 1) % p)
         if bad.size:

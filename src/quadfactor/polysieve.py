@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import functools
 import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, primes_in, root_table
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, iter_primes, root_table
 
 if TYPE_CHECKING:
     import numpy
@@ -176,17 +177,10 @@ def iter_records(
 
 # --- single-value factoring -------------------------------------------------
 
-_trial_primes: list[int] = [5]
-_trial_primes_hi = 5
-
-
-def _trial_primes_upto(limit: int) -> list[int]:
-    """Growing shared cache of primes = 1 (mod 4); replaced atomically."""
-    global _trial_primes, _trial_primes_hi
-    if limit > _trial_primes_hi:
-        new_hi = max(limit, 2 * _trial_primes_hi)
-        _trial_primes, _trial_primes_hi = primes_in(2, new_hi, (4, 1)), new_hi
-    return _trial_primes
+@functools.lru_cache(maxsize=1)
+def _trial_primes() -> Tuple[int, ...]:
+    """The primes 5 <= p <= _TRIAL_BOUND with p = 1 (mod 4), built once."""
+    return tuple(iter_primes(5, _TRIAL_BOUND, (4, 1)))
 
 
 def _brent_rho(m: int) -> int:
@@ -248,8 +242,8 @@ def factorize_value(n: int) -> FactorizationRecord:
         v //= 2
         factors.append((2, 1))
     if v > 1 and not is_prime(v):
-        for p in _trial_primes_upto(min(_TRIAL_BOUND, math.isqrt(v))):
-            if p * p > v or p > _TRIAL_BOUND:
+        for p in _trial_primes():
+            if p * p > v:
                 break
             if v % p == 0:
                 e = 0

@@ -210,6 +210,18 @@ def test_startup_does_not_import_numpy():
     }
     assert "quadfactor.cli" in imported
     assert not [m for m in imported if m.split(".")[0] == "numpy"]
+    # the prime streams behind verify counts and any class are stdlib
+    code = (
+        "import os, sys\n"
+        "from quadfactor.cli import main\n"
+        "from quadfactor.modmath import primes_in\n"
+        "assert main(['verify', 'counts', '--trials', '5', '-o', os.devnull]) == 0\n"
+        "assert primes_in(2, 10**6, (8, 3))[:2] == [3, 11]\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    run = _fresh_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 @pytest.fixture
@@ -246,3 +258,25 @@ def test_sums_refuses_out_of_envelope_delta_before_any_work(no_prime_work, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cutoff 7074027770 exceeds sieve bound 2147483648\n"
+
+
+@pytest.mark.parametrize(
+    "residue",
+    [[], ["--q", "4", "--a", "5"], ["--q", "4", "--a", "-3"]],
+    ids=["default", "a5", "a-3"],
+)
+def test_sums_default_class_reads_mertens_off_the_ledger(monkeypatch, capsys, residue):
+    # at (q, a) = (4, 1) the ledger already holds the mertens column, so
+    # sums makes no second prime pass
+    import quadfactor.chebsums
+
+    argv = ["sums", "--x", "1000", "--delta", "0", "--delta", "0.5", *residue]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+
+    def no_pass(*args, **kwargs):
+        raise RuntimeError("second prime pass")
+
+    monkeypatch.setattr(quadfactor.chebsums, "iter_primes", no_pass)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected

@@ -1,9 +1,14 @@
+import functools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadfactor import modmath
 from quadfactor.modmath import (
+    DEFAULT_SEGMENT_SIZE,
     HI_MAX,
     PrimePowerRoot,
     RootPair,
@@ -51,6 +56,10 @@ def test_primes_in_examples():
     eleven = primes_in(1, 100, (4, 1))
     assert len(eleven) == 11 and eleven[-1] == 97
     assert primes_in(90, 96) == []
+    for lo in (-10, 0, 1):
+        assert primes_in(lo, 1) == []
+        assert primes_in(lo, 1, (8, -5)) == []
+    assert primes_in(-10, -3, (3, 2)) == []
 
 
 def test_primes_in_residue_enumeration_oracle():
@@ -62,8 +71,13 @@ def test_primes_in_residue_enumeration_oracle():
 def test_primes_in_rejects_bad_residue():
     with pytest.raises(ValueError):
         primes_in(1, 100, (4, 2))
+    for lo, hi in ((10, 5), (1, 0), (-1, -2)):
+        with pytest.raises(ValueError):
+            primes_in(lo, hi)
+        with pytest.raises(ValueError):
+            primes_in(lo, hi, (8, 3))
     with pytest.raises(ValueError):
-        primes_in(10, 5)
+        primes_in(2, 10, segment_size=0)
 
 
 def test_primes_in_segment_size_independent():
@@ -74,6 +88,40 @@ def test_primes_in_segment_size_independent():
     assert primes_in(3000, 50000, (4, 1), segment_size=128) == [
         p for p in full if 3000 <= p <= 50000 and p % 4 == 1
     ]
+
+
+_CLASS_TOP = 2 * 10**5
+
+
+@functools.lru_cache(maxsize=1)
+def _class_oracle_flags():
+    return sieve_flags(_CLASS_TOP)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_primes_in_class_sieve_matches_filtered_oracle(data):
+    q = data.draw(st.integers(1, 30), label="q")
+    unit = data.draw(st.sampled_from([u for u in range(q) if math.gcd(u, q) == 1]))
+    a = unit + q * data.draw(st.integers(-3, 3), label="shift")
+    size = data.draw(st.sampled_from([1, 7, DEFAULT_SEGMENT_SIZE]), label="segment_size")
+    # one member per chunk is slow in pure Python, so the tiny chunks get narrower ranges
+    span = {1: 3000, 7: 30000}.get(size, _CLASS_TOP)
+    lo = data.draw(st.integers(-10, _CLASS_TOP), label="lo")
+    hi = data.draw(st.integers(lo, min(lo + span, _CLASS_TOP)), label="hi")
+    flags = _class_oracle_flags()
+    expected = [n for n in range(max(lo, 0), hi + 1) if flags[n] and n % q == a % q]
+    assert primes_in(lo, hi, (q, a), segment_size=size) == expected
+
+
+def test_primes_in_keeps_a_prime_residue():
+    # the residue is itself a base prime of the range, which must not strike it
+    for size in (1, 7, DEFAULT_SEGMENT_SIZE):
+        assert primes_in(2, 100, (8, 3), segment_size=size)[:3] == [3, 11, 19]
+        assert primes_in(3, 3, (8, 3), segment_size=size) == [3]
+        assert primes_in(2, 100, (10, 7), segment_size=size)[:3] == [7, 17, 37]
+        assert primes_in(7, 7, (10, 7), segment_size=size) == [7]
+        assert primes_in(2, 2, (1, 0), segment_size=size) == [2]
 
 
 def simple_oracle_primes():
