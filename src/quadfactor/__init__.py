@@ -23,13 +23,16 @@ from .modmath import (
     sqrt_minus_one,
 )
 from .polysieve import (
+    FactorColumns,
     FactorizationRecord,
     RecordRow,
     factorize_value,
     incidence_counts,
+    iter_columns,
     iter_records,
     largest_prime_factor,
     records_scan,
+    sieve_columns,
     sieve_segment,
 )
 from .rootcount import (

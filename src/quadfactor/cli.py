@@ -1,14 +1,17 @@
 """Command-line front end: sieving, records, sums, and verification reports.
 
 Data rows go to --output (or stdout) as CSV or JSON lines; everything else
-goes to stderr.  Exit codes: 0 success, 1 validation/usage error, 2 internal
-assertion failure.  Floats are serialized with 17 significant digits so
+goes to stderr.  An --output file is complete or absent: it is renamed into
+place only after its last row.  Exit codes: 0 success, 1 validation/usage
+error, 2 internal assertion failure.  CSV floats carry 17 significant
+digits; JSON lines carry json.dumps' shortest round-trip repr.  Either way
 output files are byte-stable and round-trip exact.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -16,7 +19,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .chebsums import mertens_prefixes, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE, primes_in, sqrt_minus_one
@@ -47,19 +50,43 @@ def _fmt_value(v: object) -> str:
     return str(v)
 
 
+def _write_rows(
+    out: TextIO, fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    if fmt == "csv":
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(map(_fmt_value, row)) + "\n")
+    else:
+        for row in rows:
+            out.write(json.dumps(dict(zip(header, row))) + "\n")
+
+
 def _emit(config: RunConfig, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    out = open(config.output, "w", newline="") if config.output else sys.stdout
+    """Write the rows to stdout, or to config.output complete or not at all.
+
+    A file is written under a temporary name in its own directory and
+    renamed over the target after the last row, so a run that fails midway
+    leaves no partial file and any earlier one untouched.  A target that is
+    not a regular file (a device, a pipe) is written directly.
+    """
+    path = config.output
+    if not path or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+            _write_rows(out, config.fmt, header, rows)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    out = open(tmp, "x", newline="")
     try:
-        if config.fmt == "csv":
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(_fmt_value(v) for v in row) + "\n")
-        else:
-            for row in rows:
-                out.write(json.dumps(dict(zip(header, row))) + "\n")
-    finally:
-        if config.output:
-            out.close()
+        with out:
+            _write_rows(out, config.fmt, header, rows)
+        if os.path.exists(target):
+            os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _log(message: str) -> None:

@@ -1,16 +1,26 @@
 """Segmented factor sieve producing complete factorizations of n^2 + 1.
 
 For a segment [lo, hi] every prime p = 1 (mod 4) up to hi is visited at the
-positions n = +-b_p (mod p); repeated exact division strips full prime
-powers.  Whatever survives is prime: two prime factors above hi >= n would
-multiply past (n+1)^2 > n^2 + 1, and a square q^2 with q > n would have to
-equal n^2 + 1 itself, which (q-n)(q+n) = 1 forbids.  So sieving only up to
-hi is enough, and each residual carries multiplicity 1.
+positions n = +-b_p (mod p), where its full power is divided out.  Whatever
+survives is prime: two prime factors above hi >= n would multiply past
+(n+1)^2 > n^2 + 1, and a square q^2 with q > n would have to equal n^2 + 1
+itself, which (q-n)(q+n) = 1 forbids.  So sieving only up to hi is enough,
+and each residual carries multiplicity 1.
 
-The roots come from one table per bound (modmath.root_table).  Primes up to
-the segment width are visited by strided passes; each prime above it has at
-most one position per root in the segment, and one vectorized test over the
-table finds those positions, so per-value work tracks the width, not pi(hi).
+The roots come from one table per bound (modmath.root_table).  A segment is
+one numpy pass.  Primes up to the segment width W get one strided range of
+hit positions per root; each prime above W has at most one position per
+root in the segment, and one vectorized test over the table finds those.
+Exponents are read off the original values n^2 + 1 (below 2^63 for
+hi <= 2^31, so uint64 is exact) and the residuals are what one division by
+p^e at every hit leaves.
+
+The pass returns FactorColumns, a CSR layout: counts[i] factors for
+n = lo + i, stored flat in primes/exponents in ascending order (2 first for
+odd n, then the sieved primes, then the residual prime), and largest[i],
+the last of them.  The interval reductions below read the columns;
+FactorizationRecord objects are built from them only at the
+sieve_segment/iter_records boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, iter_primes, root_table
 
@@ -56,82 +66,132 @@ class RecordRow:
     is_record: bool
 
 
-def _root_positions(
-    table: "numpy.ndarray", lo: int, width: int
-) -> Iterator[Tuple[int, Sequence[int]]]:
-    """(p, offsets into the window) for the table's primes, ascending in p.
+@dataclass(frozen=True, slots=True)
+class FactorColumns:
+    """The factorizations of n^2 + 1 for n = lo, lo + 1, ..., flat.
 
-    Primes up to the width get one strided range per root.  A prime above
-    the width meets each root class at most once in the window, so one
-    vectorized test (c - lo) mod p < width over both roots finds its
-    offsets, and primes that divide no value in the window are skipped.
+    The factors of n = lo + i are the next counts[i] entries of primes and
+    exponents, ascending: 2 first for odd n, then the sieved primes, then
+    the residual prime above the sieve bound, if any.  largest[i] is the
+    last of them, P(n^2 + 1).  counts and exponents are uint8, primes and
+    largest uint64; the arrays pickle as raw buffers.
     """
+
+    lo: int
+    counts: "numpy.ndarray"
+    primes: "numpy.ndarray"
+    exponents: "numpy.ndarray"
+    largest: "numpy.ndarray"
+
+    def records(self) -> list[FactorizationRecord]:
+        pairs = zip(self.primes.tolist(), self.exponents.tolist())
+        return [
+            FactorizationRecord(n=n, factors=tuple(itertools.islice(pairs, c)), largest_prime=top)
+            for n, c, top in zip(
+                itertools.count(self.lo), self.counts.tolist(), self.largest.tolist()
+            )
+        ]
+
+
+def _root_hits(
+    table: "numpy.ndarray", lo: int, width: int
+) -> Tuple["numpy.ndarray", "numpy.ndarray"]:
+    """(int64 offsets into the window, uint64 primes) of every hit, p ascending.
+
+    Primes up to the width get one strided range per root, built for all of
+    them at once.  A prime above the width meets each root class at most
+    once in the window, so one vectorized test (c - lo) mod p < width over
+    both roots finds its offsets, and primes that divide no value in the
+    window are skipped.
+    """
+    import numpy as np
+
+    def root_offsets(rows):
+        # (b - lo) mod p and (-b - lo) mod p in uint32: with shift =
+        # p - (lo mod p), b + shift and p - b + shift stay under 2p < 2^32
+        p, b = rows.T
+        shift = p - lo % p
+        return p, np.column_stack(((b + shift) % p, (p - b + shift) % p))
+
     split = int(table[:, 0].searchsorted(width, side="right"))
-    for p, b in table[:split].tolist():
-        yield p, range((b - lo) % p, width, p)
-        yield p, range((p - b - lo) % p, width, p)
-    # in row chunks, so the int64 temporaries stay small for any bound
-    for start in range(split, len(table), _HIT_TEST_ROWS):
-        rows = table[start : start + _HIT_TEST_ROWS].astype("int64")
-        p, b = rows[:, 0], rows[:, 1]
-        first = (b - lo) % p
-        second = (-b - lo) % p
-        hit = ((first < width) | (second < width)).nonzero()[0]
-        for q, i, j in zip(p[hit].tolist(), first[hit].tolist(), second[hit].tolist()):
-            yield q, [k for k in (i, j) if k < width]
+    p, start = root_offsets(table[:split])
+    p = np.repeat(p.astype(np.int64), 2)  # one start per root
+    start = start.ravel().astype(np.int64)
+    runs = (width - 1 - start) // p + 1
+    begin = np.cumsum(runs) - runs
+    which = np.repeat(np.arange(len(runs)), runs)
+    steps = np.arange(int(runs.sum())) - begin[which]
+    offsets = [start[which] + p[which] * steps]
+    primes = [p[which]]
+    # in row chunks, so the temporaries stay small for any bound
+    for lo_row in range(split, len(table), _HIT_TEST_ROWS):
+        p, both = root_offsets(table[lo_row : lo_row + _HIT_TEST_ROWS])
+        row, col = (both < width).nonzero()
+        offsets.append(both[row, col].astype(np.int64))
+        primes.append(p[row])
+    return np.concatenate(offsets), np.concatenate(primes).astype(np.uint64)
 
 
-def sieve_segment(lo: int, hi: int) -> list[FactorizationRecord]:
-    """Factor n^2 + 1 for every n in [lo, hi]."""
+def sieve_columns(lo: int, hi: int) -> FactorColumns:
+    """Factor n^2 + 1 for every n in [lo, hi] in one numpy pass."""
     if lo < 1 or lo > hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > HI_MAX:
         raise OverflowError(f"hi={hi} above 2^31: hi^2+1 would leave 64 bits")
+    import numpy as np
+
     width = hi - lo + 1
-    residual = [n * n + 1 for n in range(lo, hi + 1)]
-    factors: list[list[Tuple[int, int]]] = [[] for _ in range(width)]
+    values = np.arange(lo, hi + 1, dtype=np.uint64) ** 2 + 1
     # p = 2 divides n^2+1 exactly once for odd n (n^2+1 = 2 mod 8), never for even n.
-    for i in range((lo + 1) % 2, width, 2):
-        residual[i] //= 2
-        factors[i].append((2, 1))
-    for p, positions in _root_positions(root_table(hi), lo, width):
-        for i in positions:
-            v = residual[i]
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            residual[i] = v
-            factors[i].append((p, e))
-    records = []
-    for i in range(width):
-        f = factors[i]
-        r = residual[i]
-        if r > 1:
-            f.append((r, 1))
-            if i % _RESIDUAL_SPOT_CHECK_STRIDE == 0 and not is_prime(r):
-                raise AssertionError(f"residual {r} at n={lo + i} is not prime")
-        records.append(
-            FactorizationRecord(n=lo + i, factors=tuple(f), largest_prime=f[-1][0])
-        )
-    return records
+    odd = np.arange((lo + 1) % 2, width, 2)
+    offsets, primes = _root_hits(root_table(hi), lo, width)
+    pos = np.concatenate((odd, offsets))
+    p = np.concatenate((np.full(len(odd), 2, dtype=np.uint64), primes))
+    del odd, offsets, primes
+    # every hit divides once; divide on at the hits that still divide
+    e = np.ones(len(pos), dtype=np.uint8)
+    rest = values[pos] // p
+    more = (rest % p == 0).nonzero()[0]
+    while more.size:
+        e[more] += 1
+        rest[more] //= p[more]
+        more = more[rest[more] % p[more] == 0]
+    del rest
+    residual = values  # divided in place; the values are not read again
+    np.floor_divide.at(residual, pos, p ** e)
+    big = (residual > 1).nonzero()[0]
+    for i in big[big % _RESIDUAL_SPOT_CHECK_STRIDE == 0].tolist():
+        r = int(residual[i])
+        if not is_prime(r):
+            raise AssertionError(f"residual {r} at n={lo + i} is not prime")
+    # the residual goes after the sieved primes of its n; a stable sort by
+    # position keeps every n's primes in the ascending order they came in
+    pos = np.concatenate((pos, big))
+    order = pos.argsort(kind="stable")
+    primes = np.concatenate((p, residual[big]))[order]
+    exponents = np.concatenate((e, np.ones(len(big), dtype=np.uint8)))[order]
+    counts = np.bincount(pos, minlength=width)
+    return FactorColumns(
+        lo=lo,
+        counts=counts.astype(np.uint8),
+        primes=primes,
+        exponents=exponents,
+        largest=primes[np.cumsum(counts) - 1],
+    )
 
 
-def _sieve_worker(
-    bounds: Tuple[int, int],
-) -> Tuple[list[int], list[Tuple[Tuple[int, int], ...]]]:
-    # plain columns pickle several times faster than a list of dataclasses
-    records = sieve_segment(*bounds)
-    return [rec.n for rec in records], [rec.factors for rec in records]
+def sieve_segment(lo: int, hi: int) -> list[FactorizationRecord]:
+    """Factor n^2 + 1 for every n in [lo, hi]."""
+    return sieve_columns(lo, hi).records()
 
 
-def iter_records(
+def iter_columns(
     lo: int,
     hi: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-) -> Iterator[FactorizationRecord]:
-    """Stream records for [lo, hi] in ascending n, in segment_size chunks.
+) -> Iterator[FactorColumns]:
+    """Stream the factor columns of [lo, hi], one per segment, ascending.
 
     Segments are independent work units; with workers > 1 they run in a
     process pool and are re-sequenced by segment index, so the stream is
@@ -152,7 +212,7 @@ def iter_records(
     root_table(hi)
     if workers == 1 or len(bounds) <= 1:
         for seg in bounds:
-            yield from sieve_segment(*seg)
+            yield sieve_columns(*seg)
         return
     ctx = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(
@@ -160,19 +220,29 @@ def iter_records(
     ) as pool:
         todo = iter(bounds)
         pending = collections.deque(
-            pool.submit(_sieve_worker, seg) for seg in itertools.islice(todo, 2 * workers)
+            pool.submit(sieve_columns, *seg) for seg in itertools.islice(todo, 2 * workers)
         )
         try:
             while pending:
-                ns, factor_lists = pending.popleft().result()
+                columns = pending.popleft().result()
                 seg = next(todo, None)
                 if seg is not None:
-                    pending.append(pool.submit(_sieve_worker, seg))
-                for n, f in zip(ns, factor_lists):
-                    yield FactorizationRecord(n=n, factors=f, largest_prime=f[-1][0])
+                    pending.append(pool.submit(sieve_columns, *seg))
+                yield columns
         finally:
             for future in pending:
                 future.cancel()
+
+
+def iter_records(
+    lo: int,
+    hi: int,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    workers: int = 1,
+) -> Iterator[FactorizationRecord]:
+    """Stream records for [lo, hi] in ascending n, built from iter_columns."""
+    for columns in iter_columns(lo, hi, segment_size, workers):
+        yield from columns.records()
 
 
 # --- single-value factoring -------------------------------------------------
@@ -280,29 +350,64 @@ def records_scan(
     """Stream (n, P(n^2+1), log P / log n, is_record) for n = 2..n_max.
 
     is_record marks strict running maxima of the largest prime factor; the
-    fold is a single-threaded pass over the ordered record stream.
+    fold is a single-threaded pass over the largest column of each segment.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     best = 0
-    for rec in iter_records(2, n_max, segment_size, workers):
-        p = rec.largest_prime
-        is_record = p > best
-        if is_record:
-            best = p
-        yield RecordRow(
-            n=rec.n,
-            largest_prime=p,
-            exponent=math.log(p) / math.log(rec.n),
-            is_record=is_record,
-        )
+    for columns in iter_columns(2, n_max, segment_size, workers):
+        for n, p in zip(itertools.count(columns.lo), columns.largest.tolist()):
+            is_record = p > best
+            if is_record:
+                best = p
+            yield RecordRow(
+                n=n,
+                largest_prime=p,
+                exponent=math.log(p) / math.log(n),
+                is_record=is_record,
+            )
+
+
+def divisor_incidence(
+    columns: Iterable[FactorColumns], y_cutoff: int, count_prime_powers: bool
+) -> Tuple["numpy.ndarray", "numpy.ndarray", "numpy.ndarray"]:
+    """(keys ascending, incidences, base primes) of the divisor keys <= y_cutoff.
+
+    A prime key p counts the n it divides, whatever the multiplicity; with
+    count_prime_powers each power p^k <= y_cutoff dividing n^2+1 is a key
+    of its own, with base prime p.
+    """
+    import numpy as np
+
+    y = np.uint64(min(max(y_cutoff, 0), 2**64 - 1))
+    keys, bases = [], []
+    for cols in columns:
+        keep = cols.primes <= y
+        power = base = cols.primes[keep]
+        keys.append(power)
+        bases.append(base)
+        # p^k divides n^2+1 < 2^63 for k <= e, so the powers stay exact
+        left = cols.exponents[keep].astype(np.int64) - 1
+        while count_prime_powers and left.any():
+            more = left > 0
+            power, base, left = power[more] * base[more], base[more], left[more] - 1
+            fits = power <= y
+            power, base, left = power[fits], base[fits], left[fits]
+            keys.append(power)
+            bases.append(base)
+    if not keys:
+        return np.zeros(0, np.uint64), np.zeros(0, np.int64), np.zeros(0, np.uint64)
+    uniq, first, counts = np.unique(
+        np.concatenate(keys), return_index=True, return_counts=True
+    )
+    return uniq, counts, np.concatenate(bases)[first]
 
 
 def incidence_counts(
     x: int,
     y_cutoff: int,
     count_prime_powers: bool = False,
-    records: Optional[Iterable[FactorizationRecord]] = None,
+    columns: Optional[Iterable[FactorColumns]] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> Dict[int, int]:
@@ -311,26 +416,14 @@ def incidence_counts(
     Plain prime keys count each n once regardless of multiplicity; with
     count_prime_powers every power p^k <= y_cutoff dividing n^2+1 gets its
     own key, which is exactly the index set weighted by the von Mangoldt
-    function.  Precomputed records for (x, 2x] can be passed to avoid
-    re-sieving.
+    function.  Precomputed factor columns of (x, 2x] can be passed to avoid
+    re-sieving.  Keys come in ascending order.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > HI_MAX // 2:
         raise OverflowError(f"x={x} above 2^30: 2x exceeds the sieve bound")
-    if records is None:
-        records = iter_records(x + 1, 2 * x, segment_size, workers)
-    counts: Dict[int, int] = {}
-    for rec in records:
-        for p, e in rec.factors:
-            if p > y_cutoff:
-                continue
-            counts[p] = counts.get(p, 0) + 1
-            if count_prime_powers:
-                d = p
-                for _ in range(e - 1):
-                    d *= p
-                    if d > y_cutoff:
-                        break
-                    counts[d] = counts.get(d, 0) + 1
-    return counts
+    if columns is None:
+        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
+    keys, counts, _ = divisor_incidence(columns, y_cutoff, count_prime_powers)
+    return dict(zip(keys.tolist(), counts.tolist()))

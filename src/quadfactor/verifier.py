@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .chebsums import KahanSum, power_cutoff, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE
-from .polysieve import FactorizationRecord, HI_MAX, incidence_counts, iter_records
+from .polysieve import FactorColumns, HI_MAX, divisor_incidence, iter_columns
 
 DELTA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -101,15 +101,15 @@ def _check_tolerance(tail_tolerance: float) -> None:
         raise ValueError("tail_tolerance must be in (0, 1)")
 
 
-def _interval_records(
+def _interval_columns(
     x: int,
-    records: Optional[Iterable[FactorizationRecord]],
+    columns: Optional[Iterable[FactorColumns]],
     segment_size: int,
     workers: int,
-) -> Sequence[FactorizationRecord]:
-    if records is None:
-        return list(iter_records(x + 1, 2 * x, segment_size, workers))
-    return records if isinstance(records, Sequence) else list(records)
+) -> Iterable[FactorColumns]:
+    if columns is None:
+        return iter_columns(x + 1, 2 * x, segment_size, workers)
+    return columns
 
 
 def lhs_logsum(x: int) -> float:
@@ -123,7 +123,7 @@ def lhs_logsum(x: int) -> float:
 
 def lambda_identity_check(
     x: int,
-    records: Optional[Iterable[FactorizationRecord]] = None,
+    columns: Optional[Iterable[FactorColumns]] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> ChainLedger:
@@ -133,10 +133,9 @@ def lambda_identity_check(
     float-accumulation difference, which stays at the 1e-9 relative level.
     """
     _check_x(x)
-    recs = _interval_records(x, records, segment_size, workers)
     acc = KahanSum()
-    for rec in recs:
-        for p, e in rec.factors:
+    for cols in _interval_columns(x, columns, segment_size, workers):
+        for p, e in zip(cols.primes.tolist(), cols.exponents.tolist()):
             acc.add(e * math.log(p))
     return ChainLedger(
         x=x,
@@ -147,26 +146,16 @@ def lambda_identity_check(
 
 
 def _cumulative(
-    x: int, recs: Sequence[FactorizationRecord], top: int, with_prime_powers: bool
+    columns: Iterable[FactorColumns], top: int, with_prime_powers: bool
 ) -> list[Tuple[int, float]]:
     """(d, C(d)) for every divisor key d <= top, ascending, where C(d) is the
-    compensated sum of log p * incidence over the keys up to d."""
-    counts = incidence_counts(x, top, with_prime_powers, records=recs)
-    base_prime: dict[int, int] = {}
-    if with_prime_powers:
-        # power keys p^k weigh log p, not log d; plain prime keys need no map
-        for rec in recs:
-            for p, e in rec.factors:
-                d = p
-                for _ in range(e - 1):
-                    d *= p
-                    if d > top:
-                        break
-                    base_prime[d] = p
+    compensated sum of log p * incidence over the keys up to d (a power key
+    p^k weighs log p, not log d)."""
+    keys, counts, bases = divisor_incidence(columns, top, with_prime_powers)
     acc = KahanSum()
     cumulative = []
-    for d, count in sorted(counts.items()):
-        acc.add(math.log(base_prime.get(d, d)) * count)
+    for d, count, p in zip(keys.tolist(), counts.tolist(), bases.tolist()):
+        acc.add(math.log(p) * count)
         cumulative.append((d, acc.total))
     return cumulative
 
@@ -181,22 +170,22 @@ def coverage_curve(
     x: int,
     with_prime_powers: bool = True,
     tail_tolerance: float = 1e-3,
-    records: Optional[Iterable[FactorizationRecord]] = None,
+    columns: Optional[Iterable[FactorColumns]] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> CoverageCurve:
     """Accumulate C(y) = sum(log p * incidence(d)) over divisors d <= y.
 
     Primes up to 2x enter through their sieve incidence; larger primes enter
-    through each record's residual (several records may share one residual
-    prime, and each occurrence counts).  The curve keeps every cumulative
-    point, so delta_star at any tolerance comes from this one evaluation.
+    through each n's residual (several n may share one residual prime, and
+    each occurrence counts).  The curve keeps every cumulative point, so
+    delta_star at any tolerance comes from this one evaluation.
     """
     _check_x(x)
     _check_tolerance(tail_tolerance)
-    recs = _interval_records(x, records, segment_size, workers)
     top = 4 * x * x + 1
-    cumulative = _cumulative(x, recs, top, with_prime_powers)
+    cols = _interval_columns(x, columns, segment_size, workers)
+    cumulative = _cumulative(cols, top, with_prime_powers)
     total = lhs_logsum(x)
     points = []
     for y in [min(power_cutoff(x, delta, limit=None), top) for delta in DELTA_GRID] + [top]:
@@ -215,7 +204,7 @@ def coverage_curve(
 def contradiction_probe(
     x: int,
     deltas: Sequence[float],
-    records: Optional[Iterable[FactorizationRecord]] = None,
+    columns: Optional[Iterable[FactorColumns]] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> list[ChainLedger]:
@@ -225,9 +214,9 @@ def contradiction_probe(
     Each ledger carries the truncated incidence sum, R and S, the margin
     2x log x - (R+S) whose sign flip across delta is the contradiction
     mechanism, and the ground-truth margin lhs_exact - n_trunc.  Every delta
-    is checked (range, then cutoff) before any work; the records, both sides
-    of the log sum and the incidence cumulative are computed once, and
-    n_trunc at each cutoff is read off that cumulative.
+    is checked (range, then cutoff) before any work; the factor columns,
+    both sides of the log sum and the incidence cumulative are computed
+    once, and n_trunc at each cutoff is read off that cumulative.
     """
     _check_x(x)
     if x < 2:
@@ -237,9 +226,9 @@ def contradiction_probe(
         if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
         cutoffs.append(power_cutoff(x, delta))
-    recs = _interval_records(x, records, segment_size, workers)
-    ledger = lambda_identity_check(x, records=recs)
-    cumulative = _cumulative(x, recs, max(cutoffs, default=1), False)
+    cols = list(_interval_columns(x, columns, segment_size, workers))
+    ledger = lambda_identity_check(x, columns=cols)
+    cumulative = _cumulative(cols, max(cutoffs, default=1), False)
     out = []
     for sums in sum_ledger(x, deltas):
         n_trunc = _covered(cumulative, sums.cutoff)
@@ -263,7 +252,7 @@ def contradiction_probe(
 
 def largest_prime_probe(
     x: int,
-    records: Optional[Iterable[FactorizationRecord]] = None,
+    columns: Optional[Iterable[FactorColumns]] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> ProbeResult:
@@ -271,18 +260,20 @@ def largest_prime_probe(
 
     The interval membership test max_p >= x^(3/2) is done in exact integers
     as max_p^2 >= x^3; the upper end 4x^2+1 holds trivially.  No asymptotic
-    assertion is attached to the result.
+    assertion is attached to the result.  On ties the smallest n wins.
     """
     _check_x(x)
     if x < 2:
         raise ValueError("x must be >= 2 so the exponent is defined")
-    recs = _interval_records(x, records, segment_size, workers)
-    best = max(recs, key=lambda rec: rec.largest_prime)
-    max_prime = best.largest_prime
+    max_prime, arg_n = 0, 0
+    for cols in _interval_columns(x, columns, segment_size, workers):
+        i = int(cols.largest.argmax())  # the first maximum
+        if int(cols.largest[i]) > max_prime:
+            max_prime, arg_n = int(cols.largest[i]), cols.lo + i
     return ProbeResult(
         x=x,
         max_prime=max_prime,
-        arg_n=best.n,
+        arg_n=arg_n,
         exponent=math.log(max_prime) / math.log(x),
         in_interval=max_prime * max_prime >= x**3,
     )

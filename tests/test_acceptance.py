@@ -19,6 +19,7 @@ from quadfactor.polysieve import (
     factorize_value,
     incidence_counts,
     records_scan,
+    sieve_columns,
     sieve_segment,
 )
 from quadfactor.rootcount import count_by_floor_identity, count_exact, count_upper_bound
@@ -126,12 +127,12 @@ def test_criterion_5_summandwise_bound():
     crit = _Criterion("criterion-5 truncated sum below R+S, summand-wise", 30.0)
     try:
         x = 10**3
-        records = sieve_segment(x + 1, 2 * x)
+        columns = [sieve_columns(x + 1, 2 * x)]
         deltas = (0.0, 0.25, 0.5)
-        for delta, led in zip(deltas, contradiction_probe(x, deltas, records=records)):
+        for delta, led in zip(deltas, contradiction_probe(x, deltas, columns=columns)):
             assert led.n_trunc <= led.R + led.S, delta
             cutoff = power_cutoff(x, delta)
-            counts = incidence_counts(x, cutoff, records=records)
+            counts = incidence_counts(x, cutoff, columns=columns)
             for p in primes_in(5, cutoff, (4, 1)):
                 bound = count_upper_bound(x, sqrt_minus_one(p))
                 assert Fraction(counts.get(p, 0)) <= bound, (delta, p)

@@ -187,6 +187,44 @@ def test_root_table_audit_failure_exits_2(monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
+def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
+    from quadfactor import cli, polysieve
+
+    def failing(lo, hi, segment_size, workers):
+        yield from polysieve.iter_records(lo, lo + 9, segment_size, workers)
+        raise AssertionError("residual audit failed")
+
+    argv = ["sieve", "--lo", "2", "--hi", "100"]
+    monkeypatch.setattr(cli, "iter_records", failing)
+    fresh = tmp_path / "fresh.csv"
+    assert main(argv + ["-o", str(fresh)]) == 2
+    assert not fresh.exists()
+    kept = tmp_path / "kept.jsonl"
+    kept.write_bytes(b"an earlier run\n")
+    os.chmod(kept, 0o640)
+    assert main(argv + ["--format", "jsonl", "-o", str(kept)]) == 2
+    assert kept.read_bytes() == b"an earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.jsonl"]
+    assert capsys.readouterr().err.count("internal check failed: residual audit failed") == 2
+    # a run that completes replaces the file whole and keeps its mode; a new
+    # file gets the mode open() would give it
+    monkeypatch.undo()
+    assert main(argv + ["--format", "jsonl", "-o", str(kept)]) == 0
+    assert len(kept.read_text().splitlines()) == 99
+    assert kept.stat().st_mode & 0o777 == 0o640
+    assert main(argv + ["-o", str(fresh)]) == 0
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert fresh.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "kept.jsonl", "plain"]
+
+
+def test_output_to_a_device_is_written_in_place(capsys):
+    assert main(["probe", "--x", "10", "-o", os.devnull]) == 0
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+    assert capsys.readouterr().out == ""
+
+
 def _fresh_python(*args):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -196,20 +234,22 @@ def _fresh_python(*args):
 
 
 def test_startup_does_not_import_numpy():
-    # numpy is loaded by the root table builder only, so setup and the
-    # stdlib ledger path do not pay its import
-    run = _fresh_python("-c", "import sys, quadfactor; print('numpy' in sys.modules)")
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
-    run = _fresh_python("-X", "importtime", "-m", "quadfactor", "sums", "--help")
-    assert run.returncode == 0, run.stderr
-    imported = {
-        line.rsplit("|", 1)[-1].strip()
-        for line in run.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    assert "quadfactor.cli" in imported
-    assert not [m for m in imported if m.split(".")[0] == "numpy"]
+    # numpy is loaded by the root table builder and the sieve pass only, so
+    # setup and the stdlib ledger path do not pay its import
+    for module in ("quadfactor", "quadfactor.polysieve", "quadfactor.verifier"):
+        run = _fresh_python("-c", f"import sys, {module}; print('numpy' in sys.modules)")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False", module
+    for sub in ("sums", "probe"):
+        run = _fresh_python("-X", "importtime", "-m", "quadfactor", sub, "--help")
+        assert run.returncode == 0, run.stderr
+        imported = {
+            line.rsplit("|", 1)[-1].strip()
+            for line in run.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "quadfactor.cli" in imported
+        assert not [m for m in imported if m.split(".")[0] == "numpy"], sub
     # the prime streams behind verify counts and any class are stdlib
     code = (
         "import os, sys\n"
@@ -236,7 +276,10 @@ def no_prime_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise RuntimeError("prime work started")
 
-    names = ("iter_records", "iter_primes", "root_table", "iter_root_rows", "_build_root_table")
+    names = (
+        "iter_columns", "iter_records", "iter_primes", "root_table", "iter_root_rows",
+        "_build_root_table",
+    )
     for mod in (quadfactor.modmath, quadfactor.polysieve, quadfactor.chebsums,
                 quadfactor.verifier, quadfactor.cli):
         for name in names:

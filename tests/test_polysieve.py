@@ -1,21 +1,31 @@
 import concurrent.futures
 import math
+import multiprocessing
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from quadfactor import modmath
-from quadfactor.modmath import is_prime, primes_in
+from quadfactor import modmath, polysieve
+from quadfactor.chebsums import KahanSum
+from quadfactor.cli import main
+from quadfactor.modmath import HI_MAX, is_prime, primes_in
 from quadfactor.polysieve import (
-    _sieve_worker,
+    FactorColumns,
+    FactorizationRecord,
     factorize_value,
     incidence_counts,
+    iter_columns,
     iter_records,
     largest_prime_factor,
     records_scan,
+    sieve_columns,
     sieve_segment,
 )
+from quadfactor.verifier import coverage_curve, lambda_identity_check, largest_prime_probe
 from quadfactor.rootcount import count_exact
 from quadfactor.modmath import sqrt_minus_one
 
@@ -244,10 +254,23 @@ def test_workers_give_identical_stream():
 
 
 def test_pool_worker_returns_plain_columns():
-    ns, factors = _sieve_worker((2, 300))
-    records = sieve_segment(2, 300)
-    assert ns == [rec.n for rec in records]
-    assert factors == [rec.factors for rec in records]
+    # a pool worker ships numpy columns, not per-n objects, and the columns
+    # that come back through the pickle rebuild the records of sieve_segment
+    with concurrent.futures.ProcessPoolExecutor(
+        1, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        columns = pool.submit(sieve_columns, 2, 300).result()
+    assert isinstance(columns, FactorColumns)
+    assert columns.lo == 2
+    for name, dtype in (("counts", np.uint8), ("primes", np.uint64),
+                        ("exponents", np.uint8), ("largest", np.uint64)):
+        assert getattr(columns, name).dtype == dtype, name
+    assert len(columns.counts) == len(columns.largest) == 299
+    assert len(columns.primes) == len(columns.exponents) == int(columns.counts.sum())
+    assert columns.records() == sieve_segment(2, 300)
+    assert [c.records() for c in iter_columns(2, 300, 50, workers=2)] == [
+        sieve_segment(lo, min(lo + 49, 300)) for lo in range(2, 301, 50)
+    ]
 
 
 def test_iter_records_bounds_segments_in_flight(monkeypatch):
@@ -267,3 +290,148 @@ def test_iter_records_bounds_segments_in_flight(monkeypatch):
         records.append(rec)
     assert len(submitted) == 24
     assert records == list(iter_records(2, 1201, segment_size=size, workers=1))
+
+
+def test_sieve_segment_prime_power_above_the_width():
+    # 5 > W = 2 is found by the hit test, yet its full power is divided out
+    assert sieve_segment(7, 8)[0] == FactorizationRecord(7, ((2, 1), (5, 2)), 5)
+    assert sieve_segment(57, 58)[0] == FactorizationRecord(57, ((2, 1), (5, 3), (13, 1)), 13)
+
+
+def _dividing_rows(lo, hi):
+    """Root table rows (p, b_p) of the primes p = 1 (mod 4), p <= hi, that
+    divide some n^2 + 1 with n in [lo, hi]."""
+    primes = set()
+    for n in range(lo, hi + 1):
+        primes.update(p for p in sympy.factorint(n * n + 1) if p % 4 == 1 and p <= hi)
+    rows = [(p, min(sympy.sqrt_mod(-1, p, all_roots=True))) for p in sorted(primes)]
+    return np.array(rows, dtype=np.uint32).reshape(-1, 2)
+
+
+MID_BOUND = 3 * 10**7
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    window=st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 300)),
+        st.tuples(st.integers(1, MID_BOUND - 300), st.integers(1, 300)),
+        st.tuples(st.integers(HI_MAX - 2000, HI_MAX), st.integers(1, 30)),
+    )
+)
+def test_sieve_segment_matches_factorint(window):
+    lo, width = window
+    hi = min(lo + width - 1, HI_MAX)
+    if hi <= MID_BOUND:
+        polysieve.root_table(MID_BOUND)  # one table serves every window
+        records = sieve_segment(lo, hi)
+    else:
+        # a table prime that divides no value in the window has no hit, so
+        # the rows of the dividing primes give the same columns as the full
+        # table near 2^31, whose build would dominate the test
+        with mock.patch.object(polysieve, "root_table", lambda bound: _dividing_rows(lo, hi)):
+            records = sieve_segment(lo, hi)
+    assert [rec.n for rec in records] == list(range(lo, hi + 1))
+    for rec in records:
+        assert rec.factors == _sympy_factors(rec.n), rec.n
+        assert rec.largest_prime == rec.factors[-1][0]
+
+
+def test_bad_residual_raises_and_exits_2(capsys):
+    # the sampled audit sits at offset 0 of each segment; these segments
+    # start at n = 1100 and 2100, whose residuals lie above the segment bound
+    with mock.patch.object(polysieve, "is_prime", lambda n: False):
+        with pytest.raises(AssertionError, match="residual 137 at n=100 is not prime"):
+            sieve_segment(100, 100)
+        for workers in ("1", "2"):
+            argv = ["sieve", "--lo", "1100", "--hi", "3099", "--segment-size", "1000",
+                    "--workers", workers]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "internal check failed: residual 93077 at n=1100 is not prime\n"
+
+
+def _columns_of(lo, largest):
+    largest = np.array(largest, dtype=np.uint64)
+    ones = np.ones(len(largest), dtype=np.uint8)
+    return FactorColumns(lo=lo, counts=ones, primes=largest, exponents=ones, largest=largest)
+
+
+def test_probe_keeps_the_first_n_on_ties():
+    # only the largest column is read: the maximum 17 first occurs at n = 12,
+    # again later in the same segment and in the next ones
+    segments = [_columns_of(11, [5, 17, 13]), _columns_of(14, [17, 17, 5]), _columns_of(17, [17])]
+    result = largest_prime_probe(10, columns=segments)
+    assert (result.max_prime, result.arg_n) == (17, 12)
+    result = largest_prime_probe(10, columns=[_columns_of(11, [3, 3, 3])])
+    assert (result.max_prime, result.arg_n) == (3, 11)
+    # the same rule as max() over the records, which keeps the first maximum
+    rng = random.Random(77)
+    for _ in range(5):
+        x = rng.randrange(2, 5000)
+        best = max(iter_records(x + 1, 2 * x), key=lambda rec: rec.largest_prime)
+        result = largest_prime_probe(x, segment_size=rng.randrange(1, x + 1))
+        assert (result.max_prime, result.arg_n) == (best.largest_prime, best.n)
+
+
+def _record_incidence(records, y_cutoff, count_prime_powers):
+    """The per-record incidence loop the column reduction replaced."""
+    counts = {}
+    for rec in records:
+        for p, e in rec.factors:
+            if p > y_cutoff:
+                continue
+            counts[p] = counts.get(p, 0) + 1
+            if count_prime_powers:
+                d = p
+                for _ in range(e - 1):
+                    d *= p
+                    if d > y_cutoff:
+                        break
+                    counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+def _record_cumulative(records, top, with_prime_powers):
+    base_prime = {}
+    for rec in records:
+        for p, e in rec.factors:
+            d = p
+            for _ in range(e - 1):
+                d *= p
+                if d > top:
+                    break
+                base_prime[d] = p
+    acc = KahanSum()
+    cumulative = []
+    for d, count in sorted(_record_incidence(records, top, with_prime_powers).items()):
+        acc.add(math.log(base_prime.get(d, d)) * count)
+        cumulative.append((d, acc.total))
+    return cumulative
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_column_reductions_equal_the_record_loops(data):
+    x = data.draw(st.integers(1, 3000), label="x")
+    size = data.draw(st.integers(1, 2 * x), label="segment_size")
+    # a cutoff on a prime power tests that the power key itself is kept
+    y_cutoff = data.draw(
+        st.one_of(st.integers(-1, 4 * x * x + 2), st.sampled_from([25, 125, 169, 289, 625])),
+        label="y_cutoff",
+    )
+    columns = list(iter_columns(x + 1, 2 * x, size))
+    records = [rec for cols in columns for rec in cols.records()]
+    assert records == sieve_segment(x + 1, 2 * x)
+    for powers in (False, True):
+        got = incidence_counts(x, y_cutoff, powers, columns=columns)
+        assert got == _record_incidence(records, y_cutoff, powers)
+        assert list(got) == sorted(got)
+        assert all(type(k) is int and type(v) is int for k, v in got.items())
+        curve = coverage_curve(x, with_prime_powers=powers, columns=columns)
+        assert list(curve.cumulative) == _record_cumulative(records, 4 * x * x + 1, powers)
+    acc = KahanSum()
+    for rec in records:
+        for p, e in rec.factors:
+            acc.add(e * math.log(p))
+    assert lambda_identity_check(x, columns=columns).lambda_side == acc.total

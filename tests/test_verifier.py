@@ -5,7 +5,7 @@ import pytest
 from quadfactor import verifier
 from quadfactor.chebsums import KahanSum, power_cutoff, sum_ledger
 from quadfactor.modmath import hensel_lift, iter_primes, sqrt_minus_one
-from quadfactor.polysieve import incidence_counts, sieve_segment
+from quadfactor.polysieve import incidence_counts, sieve_columns
 from quadfactor.rootcount import count_in_class, count_root_classes
 from quadfactor.verifier import (
     contradiction_probe,
@@ -101,9 +101,9 @@ def test_coverage_delta_star_tolerance_monotone():
 
 
 def test_contradiction_probe_truncated_bound():
-    records = sieve_segment(10**3 + 1, 2 * 10**3)
+    columns = [sieve_columns(10**3 + 1, 2 * 10**3)]
     deltas = [0.5, 0.0, 0.25, 0.0]
-    ledgers = contradiction_probe(10**3, deltas, records=records)
+    ledgers = contradiction_probe(10**3, deltas, columns=columns)
     assert [led.delta for led in ledgers] == deltas
     for led, delta in zip(ledgers, deltas):
         assert led.n_trunc <= led.R + led.S
@@ -115,11 +115,11 @@ def test_contradiction_probe_reads_each_cutoff_off_one_pass():
     # n_trunc against a fresh compensated sum per cutoff, R and S against
     # single-delta ledgers: bit for bit
     x = 700
-    records = sieve_segment(x + 1, 2 * x)
+    columns = [sieve_columns(x + 1, 2 * x)]
     deltas = [0.4, 0.0, 1.0, 0.1, 0.4]
-    for led in contradiction_probe(x, deltas, records=records):
+    for led in contradiction_probe(x, deltas, columns=columns):
         acc = KahanSum()
-        for p, count in sorted(incidence_counts(x, led.cutoff, records=records).items()):
+        for p, count in sorted(incidence_counts(x, led.cutoff, columns=columns).items()):
             acc.add(math.log(p) * count)
         assert led.n_trunc == acc.total
         assert led.margin_exact == led.lhs_exact - acc.total
@@ -131,7 +131,7 @@ def test_contradiction_probe_validates_every_delta_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise RuntimeError("sieve started")
 
-    monkeypatch.setattr(verifier, "iter_records", no_work)
+    monkeypatch.setattr(verifier, "iter_columns", no_work)
     # range first, then cutoff, in the order the deltas are given
     with pytest.raises(OverflowError, match="exceeds sieve bound"):
         contradiction_probe(10**5, [0.5, 1.0, 1.5])
