@@ -17,6 +17,7 @@ import math
 import os
 import random
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -76,13 +77,19 @@ def _emit(config: RunConfig, header: Sequence[str], rows: Iterable[Sequence[obje
             _write_rows(out, config.fmt, header, rows)
         return
     target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
-    out = open(tmp, "x", newline="")
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(target) + ".", suffix=".tmp", dir=os.path.dirname(target)
+    )
     try:
-        with out:
+        with open(fd, "w", newline="") as out:
             _write_rows(out, config.fmt, header, rows)
         if os.path.exists(target):
-            os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+            mode = os.stat(target).st_mode & 0o7777
+        else:  # mkstemp creates 0600; a new file gets the mode open() gives
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)

@@ -101,17 +101,6 @@ def _check_tolerance(tail_tolerance: float) -> None:
         raise ValueError("tail_tolerance must be in (0, 1)")
 
 
-def _interval_columns(
-    x: int,
-    columns: Optional[Iterable[FactorColumns]],
-    segment_size: int,
-    workers: int,
-) -> Iterable[FactorColumns]:
-    if columns is None:
-        return iter_columns(x + 1, 2 * x, segment_size, workers)
-    return columns
-
-
 def lhs_logsum(x: int) -> float:
     """sum(log(n^2+1)) over x < n <= 2x, ascending, compensated."""
     _check_x(x)
@@ -133,8 +122,10 @@ def lambda_identity_check(
     float-accumulation difference, which stays at the 1e-9 relative level.
     """
     _check_x(x)
+    if columns is None:
+        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
     acc = KahanSum()
-    for cols in _interval_columns(x, columns, segment_size, workers):
+    for cols in columns:
         for p, e in zip(cols.primes.tolist(), cols.exponents.tolist()):
             acc.add(e * math.log(p))
     return ChainLedger(
@@ -184,8 +175,9 @@ def coverage_curve(
     _check_x(x)
     _check_tolerance(tail_tolerance)
     top = 4 * x * x + 1
-    cols = _interval_columns(x, columns, segment_size, workers)
-    cumulative = _cumulative(cols, top, with_prime_powers)
+    if columns is None:
+        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
+    cumulative = _cumulative(columns, top, with_prime_powers)
     total = lhs_logsum(x)
     points = []
     for y in [min(power_cutoff(x, delta, limit=None), top) for delta in DELTA_GRID] + [top]:
@@ -226,7 +218,9 @@ def contradiction_probe(
         if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
         cutoffs.append(power_cutoff(x, delta))
-    cols = list(_interval_columns(x, columns, segment_size, workers))
+    if columns is None:
+        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
+    cols = list(columns)
     ledger = lambda_identity_check(x, columns=cols)
     cumulative = _cumulative(cols, max(cutoffs, default=1), False)
     out = []
@@ -266,7 +260,9 @@ def largest_prime_probe(
     if x < 2:
         raise ValueError("x must be >= 2 so the exponent is defined")
     max_prime, arg_n = 0, 0
-    for cols in _interval_columns(x, columns, segment_size, workers):
+    if columns is None:
+        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
+    for cols in columns:
         i = int(cols.largest.argmax())  # the first maximum
         if int(cols.largest[i]) > max_prime:
             max_prime, arg_n = int(cols.largest[i]), cols.lo + i

@@ -219,6 +219,17 @@ def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "kept.jsonl", "plain"]
 
 
+def test_leftover_temporary_file_does_not_block_output(tmp_path):
+    # a killed run can leave its temporary file behind; a later run that
+    # happens to get the same pid must still write its output
+    out = tmp_path / "out.csv"
+    stale = tmp_path / f"out.csv.{os.getpid()}.tmp"
+    stale.write_bytes(b"killed midway\n")
+    assert main(["sieve", "--lo", "2", "--hi", "20", "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 20
+    assert stale.read_bytes() == b"killed midway\n"
+
+
 def test_output_to_a_device_is_written_in_place(capsys):
     assert main(["probe", "--x", "10", "-o", os.devnull]) == 0
     assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
