@@ -28,11 +28,18 @@ CASES = {
     "unknown_flag": ["probe", "--x", "10", "--bogus"],
     "sieve_csv": ["sieve", "--lo", "2", "--hi", "300", "--segment-size", "64", "--workers", "1"],
     "sieve_jsonl": ["sieve", "--lo", "1000", "--hi", "1100", "--format", "jsonl", "--workers", "1"],
+    "sieve_segments_jsonl": [
+        "sieve", "--lo", "100000", "--hi", "101000", "--segment-size", "250",
+        "--format", "jsonl", "--workers", "1",
+    ],
     "sieve_range": ["sieve", "--lo", "5", "--hi", "3", "--workers", "1"],
     "records_csv": ["records", "--n-max", "500", "--workers", "1"],
     "records_jsonl_w2": [
         "records", "--n-max", "500", "--segment-size", "97", "--workers", "2",
         "--format", "jsonl",
+    ],
+    "records_segments_w2": [
+        "records", "--n-max", "5000", "--segment-size", "333", "--workers", "2",
     ],
     "sums_csv": [
         "sums", "--x", "1000", "--delta", "0.5", "--delta", "0", "--delta", "0.25",
