@@ -5,13 +5,10 @@ divisors."""
 from .chebsums import (
     KahanSum,
     SumLedger,
-    TailBounds,
     mertens_ap,
     mertens_prefixes,
-    pi_counting,
     power_cutoff,
     sum_ledger,
-    tail_bound_chain,
 )
 from .modmath import (
     PrimePowerRoot,
@@ -25,12 +22,10 @@ from .modmath import (
 from .polysieve import (
     FactorColumns,
     FactorizationRecord,
-    RecordRow,
-    factorize_value,
+    RecordBlock,
     incidence_counts,
     iter_columns,
     iter_records,
-    largest_prime_factor,
     records_scan,
     sieve_columns,
     sieve_segment,

@@ -49,27 +49,6 @@ class SumLedger:
     term_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class TailBounds:
-    """Term-by-term view of the fixed-b tail inequality chain.
-
-    four_sum is the literal four-piece expansion of the tail sums for both
-    signs; simplified is 2x * sum(log p / p) over the wider window
-    (x-b, cutoff], which dominates it; main_term is delta * x * log x and
-    residual is the measured gap simplified - main_term (its asymptotic
-    constant is not asserted anywhere).
-    """
-
-    x: int
-    delta: float
-    b: int
-    cutoff: int
-    four_sum: float
-    simplified: float
-    main_term: float
-    residual: float
-
-
 def power_cutoff(x: int, delta: float, limit: Optional[int] = HI_MAX) -> int:
     """floor(x^(1+delta)) with a one-ulp guard band.
 
@@ -99,14 +78,6 @@ def _check_residue(q: int, a: int) -> None:
         raise ValueError(f"residue {a} is not invertible mod {q}")
 
 
-def pi_counting(z: int, q: int, a: int) -> int:
-    """Exact number of primes p <= z with p = a (mod q)."""
-    _check_residue(q, a)
-    if z < 2:
-        return 0
-    return sum(1 for _ in iter_primes(2, z, (q, a)))
-
-
 def mertens_ap(z: int, q: int, a: int) -> float:
     """sum of log p / p over primes p <= z, p = a (mod q), ascending order."""
     return mertens_prefixes([z], q, a)[0]
@@ -128,41 +99,6 @@ def mertens_prefixes(cutoffs: Sequence[int], q: int, a: int) -> list[float]:
     for z in marks[len(seen) :]:
         seen[z] = acc.total
     return [seen[z] for z in cutoffs]
-
-
-def tail_bound_chain(x: int, delta: float, b: int) -> TailBounds:
-    """Evaluate the fixed-b tail sums and the two bounds that dominate them.
-
-    four_sum expands sum((x +- b) log p / p) over (x +- b, cutoff] into its
-    four pieces; widening the plus-sign window to (x - b, cutoff] gives the
-    simplified bound 2x * sum(log p / p), which four_sum never exceeds.
-    """
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    if not 0 <= b < x:
-        raise ValueError("need 0 <= b < x")
-    cutoff = power_cutoff(x, delta)
-    m_minus = KahanSum()
-    m_plus = KahanSum()
-    if cutoff > x - b:
-        for p in iter_primes(max(x - b + 1, 2), cutoff, (4, 1)):
-            term = math.log(p) / p
-            m_minus.add(term)
-            if p > x + b:
-                m_plus.add(term)
-    four_sum = x * m_minus.total - b * m_minus.total + x * m_plus.total + b * m_plus.total
-    simplified = 2 * x * m_minus.total
-    main_term = delta * x * math.log(x)
-    return TailBounds(
-        x=x,
-        delta=delta,
-        b=b,
-        cutoff=cutoff,
-        four_sum=four_sum,
-        simplified=simplified,
-        main_term=main_term,
-        residual=simplified - main_term,
-    )
 
 
 def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:

@@ -6,12 +6,18 @@ place only after its last row.  Exit codes: 0 success, 1 validation/usage
 error, 2 internal assertion failure.  CSV floats carry 17 significant
 digits; JSON lines carry json.dumps' shortest round-trip repr.  Either way
 output files are byte-stable and round-trip exact.
+
+sieve and records write one row per n, so they format the factor columns
+of a segment at a time through one row template, with the same bytes as
+formatting each value on its own; the other subcommands write a handful of
+rows, formatted one value at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -20,17 +26,28 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .chebsums import mertens_prefixes, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE, primes_in, sqrt_minus_one
-from .polysieve import HI_MAX, iter_records, records_scan
+from .polysieve import HI_MAX, iter_columns, records_scan
 from .rootcount import solution_count
 from .verifier import contradiction_probe, coverage_curve, largest_prime_probe
 
 WORKERS_ENV = "QUADFACTOR_WORKERS"
 X_MAX = HI_MAX // 2
 Q_MAX = 10**4
+_ROWS_PER_WRITE = 1 << 16  # bounds the text of a block held at once
+# column kind -> (CSV conversion, JSON conversion); the CSV float is
+# format(v, ".17g") and the JSON one json.dumps' repr.  bool values are
+# written as the JSON literals, str values must need no JSON escape.
+_CONVERSIONS = {
+    "int": ("%d", "%d"),
+    "float": ("%.17g", "%r"),
+    "bool": ("%s", "%s"),
+    "str": ("%s", '"%s"'),
+}
+_BOOL_TEXT = ("false", "true")
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,20 +68,47 @@ def _fmt_value(v: object) -> str:
     return str(v)
 
 
-def _write_rows(
-    out: TextIO, fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]
-) -> None:
+def _format_rows(
+    fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> Iterator[str]:
+    """The text of a few rows, formatted one value at a time."""
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
+        yield ",".join(header) + "\n"
         for row in rows:
-            out.write(",".join(map(_fmt_value, row)) + "\n")
+            yield ",".join(map(_fmt_value, row)) + "\n"
     else:
         for row in rows:
-            out.write(json.dumps(dict(zip(header, row))) + "\n")
+            yield json.dumps(dict(zip(header, row))) + "\n"
 
 
-def _emit(config: RunConfig, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write the rows to stdout, or to config.output complete or not at all.
+def _format_blocks(
+    fmt: str, columns: Sequence[Tuple[str, str]], blocks: Iterable[Sequence[Iterable]]
+) -> Iterator[str]:
+    """The text of row blocks given as columns, one template per row.
+
+    columns names each column and its kind (a key of _CONVERSIONS); each
+    block holds one iterable per column, equally long.  The bytes equal
+    _format_rows over the same rows.
+    """
+    kinds = [kind for _, kind in columns]
+    if fmt == "csv":
+        yield ",".join(name for name, _ in columns) + "\n"
+        template = ",".join(_CONVERSIONS[kind][0] for kind in kinds) + "\n"
+    else:
+        fields = (f'"{name}": {_CONVERSIONS[kind][1]}' for name, kind in columns)
+        template = "{" + ", ".join(fields) + "}\n"
+    for block in blocks:
+        cols = [
+            map(_BOOL_TEXT.__getitem__, col) if kind == "bool" else col
+            for col, kind in zip(block, kinds)
+        ]
+        rows = map(template.__mod__, zip(*cols))
+        while text := "".join(itertools.islice(rows, _ROWS_PER_WRITE)):
+            yield text
+
+
+def _emit(config: RunConfig, text: Iterable[str]) -> None:
+    """Write the text to stdout, or to config.output complete or not at all.
 
     A file is written under a temporary name in its own directory and
     renamed over the target after the last row, so a run that fails midway
@@ -74,7 +118,7 @@ def _emit(config: RunConfig, header: Sequence[str], rows: Iterable[Sequence[obje
     path = config.output
     if not path or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
-            _write_rows(out, config.fmt, header, rows)
+            out.writelines(text)
         return
     target = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(
@@ -82,7 +126,7 @@ def _emit(config: RunConfig, header: Sequence[str], rows: Iterable[Sequence[obje
     )
     try:
         with open(fd, "w", newline="") as out:
-            _write_rows(out, config.fmt, header, rows)
+            out.writelines(text)
         if os.path.exists(target):
             mode = os.stat(target).st_mode & 0o7777
         else:  # mkstemp creates 0600; a new file gets the mode open() gives
@@ -195,28 +239,36 @@ def _cmd_sieve(args: argparse.Namespace, config: RunConfig) -> int:
     if not 2 <= args.lo <= args.hi <= HI_MAX:
         raise ValueError(f"need 2 <= lo <= hi <= {HI_MAX}")
 
-    def rows() -> Iterator[Sequence[object]]:
-        for rec in iter_records(args.lo, args.hi, config.segment_size, config.workers):
-            yield (
-                rec.n,
-                rec.value,
-                ";".join(f"{p}^{e}" for p, e in rec.factors),
-                rec.largest_prime,
-                math.log(rec.largest_prime) / math.log(rec.n),
-            )
+    def blocks() -> Iterator[Sequence[Iterable]]:
+        for cols in iter_columns(args.lo, args.hi, config.segment_size, config.workers):
+            ns = range(cols.lo, cols.lo + len(cols.counts))
+            powers = map("%d^%d".__mod__, zip(cols.primes.tolist(), cols.exponents.tolist()))
+            factorizations = [";".join(itertools.islice(powers, c)) for c in cols.counts.tolist()]
+            largest = cols.largest.tolist()
+            yield ns, [n * n + 1 for n in ns], factorizations, largest, cols.exponent()
 
-    _emit(config, ("n", "n2p1", "factorization", "largest_prime", "exponent"), rows())
+    columns = (
+        ("n", "int"), ("n2p1", "int"), ("factorization", "str"),
+        ("largest_prime", "int"), ("exponent", "float"),
+    )
+    _emit(config, _format_blocks(config.fmt, columns, blocks()))
     return 0
 
 
 def _cmd_records(args: argparse.Namespace, config: RunConfig) -> int:
     if not 2 <= args.n_max <= HI_MAX:
         raise ValueError(f"need 2 <= n-max <= {HI_MAX}")
-    rows = (
-        (row.n, row.largest_prime, row.exponent, row.is_record)
-        for row in records_scan(args.n_max, config.segment_size, config.workers)
+    blocks = (
+        (
+            range(block.lo, block.lo + len(block.largest)),
+            block.largest.tolist(),
+            block.exponent,
+            block.is_record.tolist(),
+        )
+        for block in records_scan(args.n_max, config.segment_size, config.workers)
     )
-    _emit(config, ("n", "largest_prime", "exponent", "is_record"), rows)
+    columns = (("n", "int"), ("largest_prime", "int"), ("exponent", "float"), ("is_record", "bool"))
+    _emit(config, _format_blocks(config.fmt, columns, blocks))
     return 0
 
 
@@ -253,7 +305,7 @@ def _cmd_sums(args: argparse.Namespace, config: RunConfig) -> int:
         "x", "delta", "cutoff", "R", "S", "residual_R", "residual_S",
         "term_count", "q", "a", "mertens",
     )
-    _emit(config, header, rows)
+    _emit(config, _format_rows(config.fmt, header, rows))
     return 0
 
 
@@ -295,7 +347,7 @@ def _cmd_verify_counts(args: argparse.Namespace, config: RunConfig) -> int:
         "trial", "x", "p", "b", "exact", "floor_identity",
         "bound_num", "bound_den", "identity_ok", "bound_ok",
     )
-    _emit(config, header, rows)
+    _emit(config, _format_rows(config.fmt, header, rows))
     if failures:
         _log(f"verify counts: {failures} of {args.trials} trials FAILED")
         return 2
@@ -312,10 +364,11 @@ def _cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
         segment_size=config.segment_size,
         workers=config.workers,
     )
+    header = ("x", "y", "C", "rho", "with_prime_powers")
     rows = (
         (curve.x, y, c, rho, curve.with_prime_powers) for y, c, rho in curve.points
     )
-    _emit(config, ("x", "y", "C", "rho", "with_prime_powers"), rows)
+    _emit(config, _format_rows(config.fmt, header, rows))
     _log(
         f"coverage: x={curve.x} prime_powers={curve.with_prime_powers} "
         f"tail_tolerance={curve.tail_tolerance:g} delta_star={curve.delta_star}"
@@ -350,7 +403,7 @@ def _cmd_chain(args: argparse.Namespace, config: RunConfig) -> int:
         "x", "delta", "cutoff", "lhs_exact", "lhs_main_term", "lambda_side",
         "n_trunc", "R", "S", "margin", "margin_exact",
     )
-    _emit(config, header, rows)
+    _emit(config, _format_rows(config.fmt, header, rows))
     return 0
 
 
@@ -361,11 +414,9 @@ def _cmd_probe(args: argparse.Namespace, config: RunConfig) -> int:
     result = largest_prime_probe(
         args.x, segment_size=config.segment_size, workers=config.workers
     )
-    _emit(
-        config,
-        ("x", "max_prime", "arg_n", "exponent", "in_interval"),
-        [(result.x, result.max_prime, result.arg_n, result.exponent, result.in_interval)],
-    )
+    header = ("x", "max_prime", "arg_n", "exponent", "in_interval")
+    row = (result.x, result.max_prime, result.arg_n, result.exponent, result.in_interval)
+    _emit(config, _format_rows(config.fmt, header, [row]))
     return 0
 
 

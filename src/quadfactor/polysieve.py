@@ -18,28 +18,28 @@ p^e at every hit leaves.
 The pass returns FactorColumns, a CSR layout: counts[i] factors for
 n = lo + i, stored flat in primes/exponents in ascending order (2 first for
 odd n, then the sieved primes, then the residual prime), and largest[i],
-the last of them.  The interval reductions below read the columns;
-FactorizationRecord objects are built from them only at the
-sieve_segment/iter_records boundary.
+the last of them.  The interval reductions, the records scan and the
+CLI's sieve and records output read the columns; FactorizationRecord
+objects are built from them only at the sieve_segment/iter_records
+library boundary.
 """
 
 from __future__ import annotations
 
 import collections
 import concurrent.futures
-import functools
 import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass
+from operator import truediv
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
-from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, iter_primes, root_table
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, root_table
 
 if TYPE_CHECKING:
     import numpy
 _RESIDUAL_SPOT_CHECK_STRIDE = 4093  # sampled primality audit of residuals
-_TRIAL_BOUND = 10**6
 _HIT_TEST_ROWS = 1 << 18
 
 
@@ -54,16 +54,6 @@ class FactorizationRecord:
     @property
     def value(self) -> int:
         return self.n * self.n + 1
-
-
-@dataclass(frozen=True, slots=True)
-class RecordRow:
-    """One row of the running-maximum scan of largest prime factors."""
-
-    n: int
-    largest_prime: int
-    exponent: float
-    is_record: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +73,15 @@ class FactorColumns:
     exponents: "numpy.ndarray"
     largest: "numpy.ndarray"
 
+    def exponent(self) -> list[float]:
+        """log P(n^2 + 1) / log n for each n (lo >= 2), by math.log.
+
+        math.log, not np.log: numpy's vectorized log can differ from it in
+        the last bit, and from one CPU's SIMD dispatch to another's.
+        """
+        ns = range(self.lo, self.lo + len(self.largest))
+        return list(map(truediv, map(math.log, self.largest.tolist()), map(math.log, ns)))
+
     def records(self) -> list[FactorizationRecord]:
         pairs = zip(self.primes.tolist(), self.exponents.tolist())
         return [
@@ -91,6 +90,21 @@ class FactorColumns:
                 itertools.count(self.lo), self.counts.tolist(), self.largest.tolist()
             )
         ]
+
+
+@dataclass(frozen=True, slots=True)
+class RecordBlock:
+    """The records scan over one segment, n = lo, lo + 1, ...
+
+    largest[i] is P(n^2 + 1) (uint64), exponent[i] is log P / log n and
+    is_record[i] (bool) says whether P exceeds every earlier value of the
+    scan, including those of earlier segments.
+    """
+
+    lo: int
+    largest: "numpy.ndarray"
+    exponent: list[float]
+    is_record: "numpy.ndarray"
 
 
 def _root_hits(
@@ -245,100 +259,6 @@ def iter_records(
         yield from columns.records()
 
 
-# --- single-value factoring -------------------------------------------------
-
-@functools.lru_cache(maxsize=1)
-def _trial_primes() -> Tuple[int, ...]:
-    """The primes 5 <= p <= _TRIAL_BOUND with p = 1 (mod 4), built once."""
-    return tuple(iter_primes(5, _TRIAL_BOUND, (4, 1)))
-
-
-def _brent_rho(m: int) -> int:
-    """A nontrivial factor of odd composite m; deterministic parameter sweep."""
-    for c in range(1, 64):
-        y, r, q = 2, 1, 1
-        g = 1
-        xs = ys = y
-        while g == 1:
-            xs = y
-            for _ in range(r):
-                y = (y * y + c) % m
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % m
-                    q = q * abs(xs - y) % m
-                g = math.gcd(q, m)
-                k += 128
-            r *= 2
-        if g == m:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % m
-                g = math.gcd(abs(xs - ys), m)
-        if g != m:
-            return g
-    raise AssertionError(f"failed to split composite {m}")
-
-
-def _split_large(v: int, out: Dict[int, int]) -> None:
-    """Merge the factorization of v (all prime factors > _TRIAL_BOUND) into out."""
-    if v == 1:
-        return
-    if is_prime(v):
-        out[v] = out.get(v, 0) + 1
-        return
-    d = _brent_rho(v)
-    _split_large(d, out)
-    _split_large(v // d, out)
-
-
-def factorize_value(n: int) -> FactorizationRecord:
-    """Factor n^2 + 1 for a single n, without sieving an interval.
-
-    Degenerate-segment path: divide by 2, then by primes p = 1 (mod 4)
-    ascending (no other class can divide), stopping once p^2 exceeds the
-    residual or the residual tests prime.  The rare residual whose factors
-    all exceed the trial bound is split by a deterministic Brent rho.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > HI_MAX:
-        raise OverflowError(f"n={n} above 2^31: n^2+1 would leave 64 bits")
-    v = n * n + 1
-    factors: list[Tuple[int, int]] = []
-    if n % 2 == 1:
-        v //= 2
-        factors.append((2, 1))
-    if v > 1 and not is_prime(v):
-        for p in _trial_primes():
-            if p * p > v:
-                break
-            if v % p == 0:
-                e = 0
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                factors.append((p, e))
-                if v == 1 or is_prime(v):
-                    break
-    if v > 1:
-        if is_prime(v):
-            factors.append((v, 1))
-        else:
-            large: Dict[int, int] = {}
-            _split_large(v, large)
-            factors.extend(sorted(large.items()))
-    factors.sort()
-    return FactorizationRecord(n=n, factors=tuple(factors), largest_prime=factors[-1][0])
-
-
-def largest_prime_factor(n: int) -> int:
-    """P(n^2 + 1)."""
-    return factorize_value(n).largest_prime
-
-
 # --- interval-level reductions ----------------------------------------------
 
 
@@ -346,26 +266,29 @@ def records_scan(
     n_max: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-) -> Iterator[RecordRow]:
-    """Stream (n, P(n^2+1), log P / log n, is_record) for n = 2..n_max.
+) -> Iterator[RecordBlock]:
+    """Stream the records scan of n = 2..n_max, one RecordBlock per segment.
 
-    is_record marks strict running maxima of the largest prime factor; the
-    fold is a single-threaded pass over the largest column of each segment.
+    is_record marks strict running maxima of the largest prime factor over
+    the whole scan: each segment's running maximum starts from the best
+    value of the segments before it, and a value equal to it is no record.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    best = 0
+    import numpy as np
+
+    best = np.zeros(1, dtype=np.uint64)
     for columns in iter_columns(2, n_max, segment_size, workers):
-        for n, p in zip(itertools.count(columns.lo), columns.largest.tolist()):
-            is_record = p > best
-            if is_record:
-                best = p
-            yield RecordRow(
-                n=n,
-                largest_prime=p,
-                exponent=math.log(p) / math.log(n),
-                is_record=is_record,
-            )
+        largest = columns.largest
+        # running[i] is the maximum before n = lo + i; running[-1] after the segment
+        running = np.maximum.accumulate(np.concatenate((best, largest)))
+        best = running[-1:]
+        yield RecordBlock(
+            lo=columns.lo,
+            largest=largest,
+            exponent=columns.exponent(),
+            is_record=largest > running[:-1],
+        )
 
 
 def divisor_incidence(

@@ -1,13 +1,22 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is deliberately written without touching the package code
-paths it checks: one-shot (non-segmented) sieving, per-n interval scans, and
-plain trial division.
+paths it checks: one-shot (non-segmented) sieving, per-n interval scans,
+plain trial division, and a single-value factorer of n^2 + 1 that shares
+only the primality test and the record type with the package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
+
+from quadfactor.chebsums import power_cutoff
+from quadfactor.modmath import HI_MAX, is_prime
+from quadfactor.polysieve import FactorizationRecord
+
+_TRIAL_BOUND = 10**6
 
 
 def sieve_flags(limit: int) -> bytearray:
@@ -86,3 +95,159 @@ def totient(q: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+def pi_counting(z: int, q: int, a: int) -> int:
+    """Exact number of primes p <= z with p = a (mod q)."""
+    if q < 1:
+        raise ValueError("modulus q must be >= 1")
+    if math.gcd(a % q, q) != 1:
+        raise ValueError(f"residue {a} is not invertible mod {q}")
+    if z < 2:
+        return 0
+    return sieve_flags(z)[a % q :: q].count(1)
+
+
+@dataclass(frozen=True, slots=True)
+class TailBounds:
+    """Term-by-term view of the fixed-b tail inequality chain.
+
+    four_sum is the literal four-piece expansion of the tail sums for both
+    signs; simplified is 2x * sum(log p / p) over the wider window
+    (x-b, cutoff], which dominates it; main_term is delta * x * log x and
+    residual is the measured gap simplified - main_term (its asymptotic
+    constant is not asserted anywhere).
+    """
+
+    x: int
+    delta: float
+    b: int
+    cutoff: int
+    four_sum: float
+    simplified: float
+    main_term: float
+    residual: float
+
+
+def tail_bound_chain(x: int, delta: float, b: int) -> TailBounds:
+    """Evaluate the fixed-b tail sums and the two bounds that dominate them.
+
+    four_sum expands sum((x +- b) log p / p) over (x +- b, cutoff] into its
+    four pieces; widening the plus-sign window to (x - b, cutoff] gives the
+    simplified bound 2x * sum(log p / p), which four_sum never exceeds.
+    """
+    if x < 2:
+        raise ValueError("x must be >= 2")
+    if not 0 <= b < x:
+        raise ValueError("need 0 <= b < x")
+    cutoff = power_cutoff(x, delta)
+    flags = sieve_flags(cutoff)
+    window = [p for p in range(x - b + 1, cutoff + 1) if p % 4 == 1 and flags[p]]
+    m_minus = math.fsum(math.log(p) / p for p in window)
+    m_plus = math.fsum(math.log(p) / p for p in window if p > x + b)
+    four_sum = x * m_minus - b * m_minus + x * m_plus + b * m_plus
+    simplified = 2 * x * m_minus
+    main_term = delta * x * math.log(x)
+    return TailBounds(
+        x=x,
+        delta=delta,
+        b=b,
+        cutoff=cutoff,
+        four_sum=four_sum,
+        simplified=simplified,
+        main_term=main_term,
+        residual=simplified - main_term,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _trial_primes() -> tuple[int, ...]:
+    """The primes 5 <= p <= _TRIAL_BOUND with p = 1 (mod 4), built once."""
+    flags = sieve_flags(_TRIAL_BOUND)
+    return tuple(p for p in range(5, _TRIAL_BOUND + 1, 4) if flags[p])
+
+
+def _brent_rho(m: int) -> int:
+    """A nontrivial factor of odd composite m; deterministic parameter sweep."""
+    for c in range(1, 64):
+        y, r, q = 2, 1, 1
+        g = 1
+        xs = ys = y
+        while g == 1:
+            xs = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(xs - y) % m
+                g = math.gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(xs - ys), m)
+        if g != m:
+            return g
+    raise AssertionError(f"failed to split composite {m}")
+
+
+def _split_large(v: int, out: dict[int, int]) -> None:
+    """Merge the factorization of v (all prime factors > _TRIAL_BOUND) into out."""
+    if v == 1:
+        return
+    if is_prime(v):
+        out[v] = out.get(v, 0) + 1
+        return
+    d = _brent_rho(v)
+    _split_large(d, out)
+    _split_large(v // d, out)
+
+
+def factorize_value(n: int) -> FactorizationRecord:
+    """Factor n^2 + 1 for a single n, without sieving an interval.
+
+    Divide by 2, then by primes p = 1 (mod 4) ascending (no other class can
+    divide), stopping once p^2 exceeds the residual or the residual tests
+    prime.  The rare residual whose factors all exceed the trial bound is
+    split by a deterministic Brent rho.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > HI_MAX:
+        raise OverflowError(f"n={n} above 2^31: n^2+1 would leave 64 bits")
+    v = n * n + 1
+    factors: list[tuple[int, int]] = []
+    if n % 2 == 1:
+        v //= 2
+        factors.append((2, 1))
+    if v > 1 and not is_prime(v):
+        for p in _trial_primes():
+            if p * p > v:
+                break
+            if v % p == 0:
+                e = 0
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                factors.append((p, e))
+                if v == 1 or is_prime(v):
+                    break
+    if v > 1:
+        if is_prime(v):
+            factors.append((v, 1))
+        else:
+            large: dict[int, int] = {}
+            _split_large(v, large)
+            factors.extend(sorted(large.items()))
+    factors.sort()
+    return FactorizationRecord(n=n, factors=tuple(factors), largest_prime=factors[-1][0])
+
+
+def largest_prime_factor(n: int) -> int:
+    """P(n^2 + 1)."""
+    return factorize_value(n).largest_prime

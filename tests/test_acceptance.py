@@ -16,7 +16,6 @@ from quadfactor.chebsums import mertens_ap, power_cutoff
 from quadfactor.cli import main
 from quadfactor.modmath import primes_in, sqrt_minus_one
 from quadfactor.polysieve import (
-    factorize_value,
     incidence_counts,
     records_scan,
     sieve_columns,
@@ -25,7 +24,7 @@ from quadfactor.polysieve import (
 from quadfactor.rootcount import count_by_floor_identity, count_exact, count_upper_bound
 from quadfactor.verifier import contradiction_probe, coverage_curve, lambda_identity_check
 
-from oracles import trial_division_factor
+from oracles import factorize_value, trial_division_factor
 
 
 class _Criterion:
@@ -162,15 +161,25 @@ def test_criterion_6_coverage_monotone_and_complete():
 def test_criterion_7_records_match_oracle():
     crit = _Criterion("criterion-7 records scan vs trial division", None)
     try:
-        rows = list(records_scan(10**4))
+        rows = [
+            row
+            for block in records_scan(10**4, segment_size=999)
+            for row in zip(
+                range(block.lo, 10**4 + 1),
+                block.largest.tolist(),
+                block.exponent,
+                block.is_record.tolist(),
+            )
+        ]
+        assert [row[0] for row in rows] == list(range(2, 10**4 + 1))
         best = 0
-        for row in rows:
-            oracle = max(p for p, _ in trial_division_factor(row.n**2 + 1))
-            assert row.largest_prime == oracle, row.n
-            assert row.is_record == (oracle > best)
+        for n, largest, exponent, is_record in rows:
+            oracle = max(p for p, _ in trial_division_factor(n**2 + 1))
+            assert largest == oracle, n
+            assert is_record == (oracle > best)
             best = max(best, oracle)
-            assert row.exponent == math.log(row.largest_prime) / math.log(row.n)
-        peaks = [r.largest_prime for r in rows if r.is_record]
+            assert exponent == math.log(largest) / math.log(n)
+        peaks = [largest for _, largest, _, is_record in rows if is_record]
         assert peaks == sorted(set(peaks))
         assert best == peaks[-1]
     except BaseException:

@@ -12,14 +12,12 @@ from quadfactor.chebsums import (
     KahanSum,
     mertens_ap,
     mertens_prefixes,
-    pi_counting,
     power_cutoff,
     sum_ledger,
-    tail_bound_chain,
 )
 from quadfactor.modmath import iter_root_rows, primes_in, sqrt_minus_one
 
-from oracles import sieve_flags, totient
+from oracles import pi_counting, sieve_flags, tail_bound_chain, totient
 
 PI_1E6_4_1 = 39175  # frozen from a one-shot sieve enumeration (re-derived below)
 

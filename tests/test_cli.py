@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -7,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadfactor
+from quadfactor import cli
 from quadfactor.cli import main
+from quadfactor.polysieve import sieve_segment
 
 SRC = str(Path(quadfactor.__file__).resolve().parents[1])
 
@@ -191,11 +196,11 @@ def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
     from quadfactor import cli, polysieve
 
     def failing(lo, hi, segment_size, workers):
-        yield from polysieve.iter_records(lo, lo + 9, segment_size, workers)
+        yield from polysieve.iter_columns(lo, lo + 9, segment_size, workers)
         raise AssertionError("residual audit failed")
 
     argv = ["sieve", "--lo", "2", "--hi", "100"]
-    monkeypatch.setattr(cli, "iter_records", failing)
+    monkeypatch.setattr(cli, "iter_columns", failing)
     fresh = tmp_path / "fresh.csv"
     assert main(argv + ["-o", str(fresh)]) == 2
     assert not fresh.exists()
@@ -251,7 +256,7 @@ def test_startup_does_not_import_numpy():
         run = _fresh_python("-c", f"import sys, {module}; print('numpy' in sys.modules)")
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False", module
-    for sub in ("sums", "probe"):
+    for sub in ("sums", "probe", "records"):
         run = _fresh_python("-X", "importtime", "-m", "quadfactor", sub, "--help")
         assert run.returncode == 0, run.stderr
         imported = {
@@ -334,3 +339,72 @@ def test_sums_default_class_reads_mertens_off_the_ledger(monkeypatch, capsys, re
     monkeypatch.setattr(quadfactor.chebsums, "iter_primes", no_pass)
     assert main(argv) == 0
     assert capsys.readouterr() == expected
+
+
+def _reference_value(v):
+    # the per-value formatting of the per-row writer the block emitter replaced
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def _reference_text(fmt, header, rows):
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(map(_reference_value, row)) for row in rows]
+    else:
+        lines = [json.dumps(dict(zip(header, row))) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _reference_records(n_max):
+    # the per-row running-maximum scan, over one unsegmented sieve
+    best, rows = 0, []
+    for rec in sieve_segment(2, n_max):
+        p = rec.largest_prime
+        rows.append((rec.n, p, math.log(p) / math.log(rec.n), p > best))
+        best = max(best, p)
+    return rows
+
+
+def _reference_sieve(lo, hi):
+    return [
+        (
+            rec.n,
+            rec.value,
+            ";".join(f"{p}^{e}" for p, e in rec.factors),
+            rec.largest_prime,
+            math.log(rec.largest_prime) / math.log(rec.n),
+        )
+        for rec in sieve_segment(lo, hi)
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_emitter_matches_the_per_row_writer(data):
+    command = data.draw(st.sampled_from(["records", "sieve"]), label="command")
+    lo = 2 if command == "records" else data.draw(st.integers(2, 10**7), label="lo")
+    hi = lo + data.draw(st.integers(0, 1200), label="width")
+    size = data.draw(
+        st.one_of(st.just(1), st.integers(1, 40), st.integers(40, 2000)), label="segment_size"
+    )
+    workers = data.draw(st.sampled_from([1, 2]), label="workers")
+    fmt = data.draw(st.sampled_from(["csv", "jsonl"]), label="format")
+    # small writes cut blocks into several pieces; the default cuts none here
+    rows_per_write = data.draw(st.sampled_from([1, 7, 1 << 16]), label="rows_per_write")
+    if command == "records":
+        argv = ["records", "--n-max", str(max(hi, 2))]
+        header = ("n", "largest_prime", "exponent", "is_record")
+        rows = _reference_records(max(hi, 2))
+    else:
+        argv = ["sieve", "--lo", str(lo), "--hi", str(hi)]
+        header = ("n", "n2p1", "factorization", "largest_prime", "exponent")
+        rows = _reference_sieve(lo, hi)
+    argv += ["--segment-size", str(size), "--workers", str(workers), "--format", fmt]
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+        assert main(argv) == 0
+    assert out.getvalue() == _reference_text(fmt, header, rows)

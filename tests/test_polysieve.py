@@ -12,15 +12,13 @@ from hypothesis import given, settings, strategies as st
 from quadfactor import modmath, polysieve
 from quadfactor.chebsums import KahanSum
 from quadfactor.cli import main
-from quadfactor.modmath import HI_MAX, is_prime, primes_in
+from quadfactor.modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, primes_in
 from quadfactor.polysieve import (
     FactorColumns,
     FactorizationRecord,
-    factorize_value,
     incidence_counts,
     iter_columns,
     iter_records,
-    largest_prime_factor,
     records_scan,
     sieve_columns,
     sieve_segment,
@@ -29,7 +27,7 @@ from quadfactor.verifier import coverage_curve, lambda_identity_check, largest_p
 from quadfactor.rootcount import count_exact
 from quadfactor.modmath import sqrt_minus_one
 
-from oracles import trial_division_factor
+from oracles import factorize_value, largest_prime_factor, trial_division_factor
 
 # smallest n >= 1e7 whose n^2+1 has two prime factors above the trial bound;
 # frozen from a sympy scan, exercises the rho fallback deterministically
@@ -179,27 +177,58 @@ def test_factorize_value_rho_path():
     assert any(p > 10**6 for p, _ in got.factors[:-1])  # two large factors
 
 
+def _scan_rows(n_max, segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
+    """(n, largest, exponent, is_record) per n, flattened from the blocks."""
+    rows = []
+    for block in records_scan(n_max, segment_size, workers):
+        assert len(block.largest) == len(block.exponent) == len(block.is_record)
+        ns = range(block.lo, block.lo + len(block.largest))
+        rows += zip(ns, block.largest.tolist(), block.exponent, block.is_record.tolist())
+    return rows
+
+
 def test_records_scan_small():
-    rows = list(records_scan(3))
-    assert [(r.n, r.largest_prime, r.is_record) for r in rows] == [
-        (2, 5, True),
-        (3, 5, False),
-    ]
-    assert rows[0].exponent == pytest.approx(math.log(5) / math.log(2))
+    for size in (1, 2):
+        rows = _scan_rows(3, size)
+        # P(5) = P(10) = 5: the tie at n = 3 is no record, in one segment or two
+        assert [(n, p, is_record) for n, p, _, is_record in rows] == [
+            (2, 5, True),
+            (3, 5, False),
+        ]
+        assert rows[0][2] == pytest.approx(math.log(5) / math.log(2))
 
 
 def test_records_scan_strictly_increasing_records():
-    rows = list(records_scan(2000))
-    records = [r for r in rows if r.is_record]
-    peaks = [r.largest_prime for r in records]
+    rows = _scan_rows(2000)
+    peaks = [p for _, p, _, is_record in rows if is_record]
     assert peaks == sorted(set(peaks))
     # running max equals the trial-division oracle
     best = 0
-    for row in rows:
-        oracle_p = max(p for p, _ in trial_division_factor(row.n**2 + 1))
+    for n, p, _, _ in rows:
+        oracle_p = max(q for q, _ in trial_division_factor(n**2 + 1))
         best = max(best, oracle_p)
-        assert row.largest_prime == oracle_p
-    assert best == records[-1].largest_prime
+        assert p == oracle_p
+    assert best == peaks[-1]
+    assert _scan_rows(2000, 37, workers=2) == rows
+
+
+def test_records_scan_ties_are_not_records(monkeypatch):
+    # hand-made largest columns: 17 first at n = 3, tied at n = 5 in its own
+    # segment and at n = 6, the start of the next; 19 at n = 10 is the next
+    # record, and its tie at n = 11 is not
+    segments = [_columns_of(2, [5, 17, 13, 17]), _columns_of(6, [17, 5, 17]),
+                _columns_of(9, [13, 19, 19])]
+    monkeypatch.setattr(polysieve, "iter_columns", lambda *args: iter(segments))
+    rows = _scan_rows(11)
+    assert [(n, is_record) for n, _, _, is_record in rows] == [
+        (2, True), (3, True), (4, False), (5, False), (6, False), (7, False),
+        (8, False), (9, False), (10, True), (11, False),
+    ]
+    assert [block.lo for block in records_scan(11)] == [2, 6, 9]
+    # every value ties with the first: only n = 2 is a record
+    segments = [_columns_of(2, [7, 7]), _columns_of(4, [7])]
+    monkeypatch.setattr(polysieve, "iter_columns", lambda *args: iter(segments))
+    assert [is_record for *_, is_record in _scan_rows(4)] == [True, False, False]
 
 
 def test_incidence_matches_rootcount():
