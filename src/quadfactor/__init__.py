@@ -3,7 +3,6 @@ and evaluate the log-weighted sum decompositions that locate its prime
 divisors."""
 
 from .chebsums import (
-    KahanSum,
     SumLedger,
     mertens_ap,
     mertens_prefixes,

@@ -2,36 +2,116 @@
 
 The primary term is 2x * sum(log p / p) over p = 1 (mod 4) up to a cutoff
 x^(1+delta); the secondary term carries the fractional parts of (x +- b_p)/p.
-All sums run over ascending primes with compensated accumulation, so results
-are reproducible bit for bit.  Each is a prefix sum of one ascending stream,
-so every cutoff of a request is read off a single pass: a compensated sum
-that has taken the first k terms is in exactly the state a fresh pass over
-those k terms would reach.
+The terms are formed a chunk of primes at a time as float64 arrays and
+summed exactly, then rounded once when read: every sum equals math.fsum of
+its terms, independent of order and chunking.  Each is a prefix sum of one
+ascending stream, so every cutoff of a request is read off a single pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
-from .modmath import HI_MAX, iter_primes, iter_root_rows
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _class_sieve, iter_root_rows
+
+if TYPE_CHECKING:
+    import numpy
 
 
-class KahanSum:
-    """Compensated accumulator; deterministic for a fixed order of adds."""
+# np.frexp splits a finite double into m * 2^e with 0.5 <= |m| < 1 (or 0),
+# so m * 2^53 is an integer below 2^53 and e runs from -1073 (the least
+# subnormal, 2^-1074) to 1024.  The exact total counts units of 2^(-1073-53).
+_MANT_BITS = 53
+_MIN_EXP = -1073
+_EXP_BINS = 1024 - _MIN_EXP + 1
+_SCALE = 1 << (_MANT_BITS - _MIN_EXP)
+# each mantissa is added as a high and a low limb of at most 27 bits, so a
+# bin overflows int64 only past 2^36 terms (a 512 GiB term array)
+_LIMB_BITS = 27
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
-    __slots__ = ("total", "_c")
+
+class _ExactSum:
+    """Exact running sum of float64 terms, rounded once when read.
+
+    A superaccumulator (Neal, arXiv:1505.05571): each array of terms is
+    split into integer mantissas, summed exactly per binary exponent, and
+    folded into one Python int at a fixed scale.  value() is that int over
+    2^scale, and int/int true division is correctly rounded, so the result
+    equals math.fsum of the same terms whatever their order or chunking.
+    """
+
+    __slots__ = ("_total",)
 
     def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
+        self._total = 0
 
-    def add(self, term: float) -> None:
-        y = term - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+    def add(self, terms: "numpy.ndarray") -> None:
+        """Add every element of a float64 array; all must be finite."""
+        import numpy as np
+
+        if not terms.size:
+            return
+        if not np.isfinite(terms).all():
+            raise ValueError("exact sums take finite terms only")
+        mant, exp = np.frexp(terms)
+        mant = np.ldexp(mant, _MANT_BITS).astype(np.int64)
+        bins = exp - _MIN_EXP
+        high = np.zeros(_EXP_BINS, np.int64)
+        low = np.zeros(_EXP_BINS, np.int64)
+        np.add.at(high, bins, mant >> _LIMB_BITS)
+        np.add.at(low, bins, mant & _LIMB_MASK)
+        used = np.flatnonzero(high | low)
+        self._total += sum(
+            ((h << _LIMB_BITS) + lo) << k
+            for k, h, lo in zip(used.tolist(), high[used].tolist(), low[used].tolist())
+        )
+
+    def value(self) -> float:
+        return self._total / _SCALE
+
+
+def _logs(values: "numpy.ndarray") -> "numpy.ndarray":
+    """math.log of each integer, as float64.
+
+    math.log, not np.log: numpy's vectorized log can differ from it in the
+    last bit, and from one CPU's SIMD dispatch to another's.
+    """
+    import numpy as np
+
+    return np.fromiter(map(math.log, values.tolist()), np.float64, count=values.size)
+
+
+def _prefix_sums(
+    chunks: Iterable[Tuple["numpy.ndarray", Sequence["numpy.ndarray"]]],
+    marks: Sequence[int],
+    width: int,
+) -> list[Tuple[list[float], int]]:
+    """Exact sums of term columns over p <= mark, for every mark ascending.
+
+    chunks yields (p, columns): p ascending across all chunks, and width
+    term arrays aligned with p.  Each snapshot holds the rounded sum of
+    every column over the p <= mark and the number of those p.
+    """
+    sums = [_ExactSum() for _ in range(width)]
+    count = 0
+    out: list[Tuple[list[float], int]] = []
+    for p, columns in chunks:
+        start = 0
+        # out fills in ascending order, so marks[len(out)] is the next cutoff
+        while len(out) < len(marks) and p.size and marks[len(out)] < p[-1]:
+            stop = int(p.searchsorted(marks[len(out)], side="right"))
+            for acc, col in zip(sums, columns):
+                acc.add(col[start:stop])
+            out.append(([acc.value() for acc in sums], count + stop))
+            start = stop
+        for acc, col in zip(sums, columns):
+            acc.add(col[start:])
+        count += p.size
+    final = ([acc.value() for acc in sums], count)
+    return out + [final] * (len(marks) - len(out))
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,16 +168,16 @@ def mertens_prefixes(cutoffs: Sequence[int], q: int, a: int) -> list[float]:
     ascending pass up to the largest cutoff."""
     _check_residue(q, a)
     marks = sorted(set(cutoffs))
-    seen: dict[int, float] = {}
-    acc = KahanSum()
-    if marks and marks[-1] >= 2:
-        for p in iter_primes(2, marks[-1], (q, a)):
-            # seen fills in ascending order, so marks[len(seen)] is the next cutoff
-            while p > marks[len(seen)]:
-                seen[marks[len(seen)]] = acc.total
-            acc.add(math.log(p) / p)
-    for z in marks[len(seen) :]:
-        seen[z] = acc.total
+    if not marks:
+        return []
+    import numpy as np
+
+    def chunks():
+        for n0, flags in _class_sieve(2, marks[-1], q, a % q, DEFAULT_SEGMENT_SIZE):
+            p = n0 + q * np.flatnonzero(np.frombuffer(flags, dtype=np.uint8))
+            yield p, [_logs(p) / p]
+
+    seen = {z: sums[0] for z, (sums, _) in zip(marks, _prefix_sums(chunks(), marks, 1))}
     return [seen[z] for z in cutoffs]
 
 
@@ -105,34 +185,32 @@ def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
     """Evaluate the (x, delta) ledger for every delta, in input order.
 
     Every cutoff is validated before any work.  One ascending pass over the
-    root rows up to the largest cutoff accumulates the mertens sum and the
-    fractional-part sum sum({(x-b)/p} + {(x+b)/p}) log p, and snapshots them
-    with the term count as p passes each cutoff.  Each fractional part is the
+    root rows up to the largest cutoff forms, a chunk at a time, the mertens
+    terms log p / p and the fractional-part terms
+    ({(x-b)/p} + {(x+b)/p}) log p, and sums each exactly with a snapshot and
+    the term count as p passes each cutoff.  Each fractional part is the
     exact residue over p, converted to float once per summand; R is 2x times
     the mertens value.
     """
     if x < 2:
         raise ValueError("x must be >= 2")
     cutoffs = [power_cutoff(x, delta) for delta in deltas]
+    if not cutoffs:
+        return []
     marks = sorted(set(cutoffs))
-    seen: dict[int, tuple[float, float, int]] = {}
-    mertens = KahanSum()
-    sec = KahanSum()
-    count = 0
-    for rows in iter_root_rows(marks[-1]) if marks else ():
-        for p, b in rows.tolist():
-            while p > marks[len(seen)]:
-                seen[marks[len(seen)]] = (mertens.total, sec.total, count)
-            count += 1
-            logp = math.log(p)
-            mertens.add(logp / p)
-            sec.add(((x - b) % p / p + (x + b) % p / p) * logp)
-    for cutoff in marks[len(seen) :]:
-        seen[cutoff] = (mertens.total, sec.total, count)
+    import numpy as np
+
+    def chunks():
+        for rows in iter_root_rows(marks[-1]):
+            p, b = rows.astype(np.int64).T
+            logp = _logs(p)
+            yield p, [logp / p, ((x - b) % p / p + (x + b) % p / p) * logp]
+
+    seen = dict(zip(marks, _prefix_sums(chunks(), marks, 2)))
     xlogx = x * math.log(x)
     ledgers = []
     for delta, cutoff in zip(deltas, cutoffs):
-        m, s_value, terms = seen[cutoff]
+        (m, s_value), terms = seen[cutoff]
         r_value = 2.0 * x * m
         ledgers.append(
             SumLedger(

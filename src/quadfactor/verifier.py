@@ -14,11 +14,14 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .chebsums import KahanSum, power_cutoff, sum_ledger
+from .chebsums import _ExactSum, _logs, power_cutoff, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE
 from .polysieve import FactorColumns, HI_MAX, divisor_incidence, iter_columns
 
 DELTA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
+_LOG_CHUNK = 1 << 16  # values n^2+1 whose logs lhs_logsum holds at a time
+_LOW_MASK = (1 << 26) - 1
+_HIGH_MASK = (1 << 27) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +75,12 @@ class CoverageCurve:
         the dropped power mass exceeds the tolerance)."""
         _check_tolerance(tail_tolerance)
         threshold = (1.0 - tail_tolerance) * self.total
-        for d, c in self.cumulative:
-            if c >= threshold:
-                return math.log(d) / math.log(self.x) - 1.0 if self.x > 1 else 0.0
-        return None
+        # correctly rounded prefix sums of non-negative terms never decrease
+        idx = bisect.bisect_left(self.cumulative, threshold, key=operator.itemgetter(1))
+        if idx == len(self.cumulative):
+            return None
+        d = self.cumulative[idx][0]
+        return math.log(d) / math.log(self.x) - 1.0 if self.x > 1 else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,12 +107,15 @@ def _check_tolerance(tail_tolerance: float) -> None:
 
 
 def lhs_logsum(x: int) -> float:
-    """sum(log(n^2+1)) over x < n <= 2x, ascending, compensated."""
+    """sum(log(n^2+1)) over x < n <= 2x, exact and rounded once."""
     _check_x(x)
-    acc = KahanSum()
-    for n in range(x + 1, 2 * x + 1):
-        acc.add(math.log(n * n + 1))
-    return acc.total
+    import numpy as np
+
+    acc = _ExactSum()
+    for lo in range(x + 1, 2 * x + 1, _LOG_CHUNK):
+        n = np.arange(lo, min(lo + _LOG_CHUNK, 2 * x + 1), dtype=np.int64)
+        acc.add(_logs(n * n + 1))
+    return acc.value()
 
 
 def lambda_identity_check(
@@ -118,21 +126,21 @@ def lambda_identity_check(
 ) -> ChainLedger:
     """Rebuild the log sum from factorizations: each p^e adds e log p.
 
-    The two sides agree exactly in integer arithmetic; the ledger records the
-    float-accumulation difference, which stays at the 1e-9 relative level.
+    The two sides agree exactly in integer arithmetic, and each is an exact
+    sum rounded once; the ledger records the difference left by rounding each
+    log term, which stays at the 1e-9 relative level.
     """
     _check_x(x)
     if columns is None:
         columns = iter_columns(x + 1, 2 * x, segment_size, workers)
-    acc = KahanSum()
+    acc = _ExactSum()
     for cols in columns:
-        for p, e in zip(cols.primes.tolist(), cols.exponents.tolist()):
-            acc.add(e * math.log(p))
+        acc.add(cols.exponents * _logs(cols.primes))
     return ChainLedger(
         x=x,
         lhs_exact=lhs_logsum(x),
         lhs_main_term=2.0 * x * math.log(x),
-        lambda_side=acc.total,
+        lambda_side=acc.value(),
     )
 
 
@@ -140,15 +148,29 @@ def _cumulative(
     columns: Iterable[FactorColumns], top: int, with_prime_powers: bool
 ) -> list[Tuple[int, float]]:
     """(d, C(d)) for every divisor key d <= top, ascending, where C(d) is the
-    compensated sum of log p * incidence over the keys up to d (a power key
-    p^k weighs log p, not log d)."""
+    exact sum of log p * incidence over the keys up to d, rounded once (a
+    power key p^k weighs log p, not log d).
+
+    Every term is at least log 2 > 1/2, so it is an integer multiple of
+    2^-53: its integer part and its fraction in units of 2^-53 (split in
+    two 26/27-bit limbs) have exact int64 prefix sums.  After the carries,
+    each prefix is an integer below 2^53 plus a fraction of 53 bits, two
+    exact doubles whose float sum is the correctly rounded prefix.
+    """
+    import numpy as np
+
     keys, counts, bases = divisor_incidence(columns, top, with_prime_powers)
-    acc = KahanSum()
-    cumulative = []
-    for d, count, p in zip(keys.tolist(), counts.tolist(), bases.tolist()):
-        acc.add(math.log(p) * count)
-        cumulative.append((d, acc.total))
-    return cumulative
+    terms = _logs(bases) * counts
+    whole = np.floor(terms)
+    units = np.ldexp(terms - whole, 53).astype(np.int64)
+    whole = np.cumsum(whole.astype(np.int64))
+    high = np.cumsum(units >> 26)
+    low = np.cumsum(units & _LOW_MASK)
+    high += low >> 26
+    whole += high >> 27
+    fraction = ((high & _HIGH_MASK) << 26) | (low & _LOW_MASK)
+    prefix = whole + np.ldexp(fraction.astype(np.float64), -53)
+    return list(zip(keys.tolist(), prefix.tolist()))
 
 
 def _covered(cumulative: Sequence[Tuple[int, float]], y: int) -> float:

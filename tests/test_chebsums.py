@@ -1,15 +1,17 @@
 import functools
 import math
 import random
+import struct
+from fractions import Fraction
 from math import gcd, log
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadfactor import chebsums
 from quadfactor.chebsums import (
-    KahanSum,
     mertens_ap,
     mertens_prefixes,
     power_cutoff,
@@ -126,14 +128,14 @@ def test_secondary_term_empty_below_first_prime():
 
 def test_secondary_term_summands_bounded():
     x = 50
-    sec_total = KahanSum()
+    summands = []
     for p in primes_in(5, power_cutoff(x, 0.3), (4, 1)):
         b = sqrt_minus_one(p).b
         summand = ((x - b) % p / p + (x + b) % p / p) * log(p)
         assert 0 <= summand < 2 * log(p)
-        sec_total.add(summand)
-    # same summands in the same order, from scalar roots: equal bit for bit
-    assert sec_total.total == sum_ledger(x, [0.3])[0].S
+        summands.append(summand)
+    # the same summands, from scalar roots, summed exactly: equal bit for bit
+    assert math.fsum(summands) == sum_ledger(x, [0.3])[0].S
 
 
 def test_secondary_term_probe_at_1e5_reported():
@@ -224,13 +226,105 @@ def test_sum_ledger_validates_every_cutoff_before_any_work(monkeypatch):
 def test_mertens_prefixes_match_direct_passes():
     cutoffs = [1000, 2, 1, 50000, 1000, 99991]
     for q, a in ((4, 1), (3, 2), (12, 7), (1, 0)):
-        direct = []
-        for z in cutoffs:
-            acc = KahanSum()
-            for p in primes_in(2, z, (q, a)) if z >= 2 else []:
-                acc.add(log(p) / p)
-            direct.append(acc.total)
+        direct = [
+            math.fsum(log(p) / p for p in (primes_in(2, z, (q, a)) if z >= 2 else []))
+            for z in cutoffs
+        ]
         assert mertens_prefixes(cutoffs, q, a) == direct
     assert mertens_prefixes([], 4, 1) == []
     with pytest.raises(ValueError):
         mertens_prefixes([100], 4, 2)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 2.0**-1022, 2.0**1000,
+]
+
+
+@st.composite
+def adversarial_terms(draw):
+    """Float64 terms with mixed signs, zeros, subnormals, exponents across
+    the whole double range, and heavy cancellation."""
+    base = draw(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=-1e-300, max_value=1e-300),
+                st.sampled_from(_SPECIAL_FLOATS),
+            ),
+            max_size=40,
+        )
+    )
+    # cancellation: negated copies of some terms, and near-copies one ulp off
+    negated = [-v for v in base[: draw(st.integers(0, len(base)))]]
+    nudged = [-math.nextafter(v, 0.0) for v in base[: draw(st.integers(0, len(base)))]]
+    return base + negated + nudged
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(terms=adversarial_terms(), data=st.data())
+def test_exact_sum_equals_fsum_under_any_order_and_split(terms, data):
+    exact = sum(map(Fraction, terms), Fraction(0))
+    try:
+        expected = math.fsum(terms)
+    except OverflowError:  # fsum overflows on a partial sum; int/int does not
+        expected = None
+    try:
+        rounded = float(exact)
+    except OverflowError:
+        rounded = None
+    if expected is not None:
+        assert _bits(expected) == _bits(rounded)
+    order = data.draw(st.permutations(range(len(terms))), label="order")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=5), label="cuts"))
+    shuffled = np.array([terms[i] for i in order], dtype=np.float64)
+    for pieces in ([np.array(terms, dtype=np.float64)], np.split(shuffled, cuts)):
+        acc = chebsums._ExactSum()
+        for piece in pieces:
+            acc.add(piece)
+        if rounded is None:
+            with pytest.raises(OverflowError):
+                acc.value()
+        else:
+            assert _bits(acc.value()) == _bits(rounded)
+
+
+def test_exact_sum_refuses_non_finite_terms():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            chebsums._ExactSum().add(np.array([1.0, bad]))
+    assert chebsums._ExactSum().value() == 0.0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_ledger_floats_equal_fsum_at_every_cutoff(monkeypatch, chunk):
+    # every snapshot of the one ascending pass, at any chunking of the
+    # stream, is math.fsum of exactly the terms up to its cutoff
+    if chunk is not None:
+        monkeypatch.setattr(
+            chebsums, "iter_root_rows", functools.partial(iter_root_rows, chunk=chunk)
+        )
+        monkeypatch.setattr(chebsums, "DEFAULT_SEGMENT_SIZE", chunk)
+    x = 300
+    deltas = [0.5, 0.0, 0.3, 0.25, 0.5, 0.05]
+    flags = sieve_flags(power_cutoff(x, max(deltas)))
+    for led in sum_ledger(x, deltas):
+        primes = [p for p in range(5, led.cutoff + 1, 4) if flags[p]]
+        roots = [sqrt_minus_one(p).b for p in primes]
+        assert led.mertens == math.fsum(log(p) / p for p in primes)
+        assert led.S == math.fsum(
+            ((x - b) % p / p + (x + b) % p / p) * log(p) for p, b in zip(primes, roots)
+        )
+        assert led.term_count == len(primes)
+    cutoffs = [power_cutoff(x, delta) for delta in deltas] + [1, 2, 3]
+    for q, a in ((3, 2), (1, 0)):
+        expected = [
+            math.fsum(log(p) / p for p in range(2, z + 1) if flags[p] and p % q == a % q)
+            for z in cutoffs
+        ]
+        assert mertens_prefixes(cutoffs, q, a) == expected

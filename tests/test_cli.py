@@ -250,8 +250,8 @@ def _fresh_python(*args):
 
 
 def test_startup_does_not_import_numpy():
-    # numpy is loaded by the root table builder and the sieve pass only, so
-    # setup and the stdlib ledger path do not pay its import
+    # numpy is loaded only by the root table, the sieve pass and the exact
+    # sums, so setup, --help and the stdlib prime streams do not pay its import
     for module in ("quadfactor", "quadfactor.polysieve", "quadfactor.verifier"):
         run = _fresh_python("-c", f"import sys, {module}; print('numpy' in sys.modules)")
         assert run.returncode == 0, run.stderr
@@ -280,6 +280,27 @@ def test_startup_does_not_import_numpy():
     assert run.stdout.strip() == "False"
 
 
+def test_refused_requests_do_not_import_numpy():
+    # every argument and cutoff is checked before numpy is loaded, so a
+    # refused request pays no numpy import
+    code = (
+        "import sys\n"
+        "from quadfactor.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    refused = (
+        ["sums", "--x", "30039", "--delta", "0.25", "--delta", "1.2", "--workers", "1"],
+        ["sums", "--x", "30039", "--delta", "0.25", "--q", "4", "--a", "2"],
+        ["chain", "--x", "10000", "--delta-grid", "0,0.5,1.5", "--workers", "1"],
+        ["chain", "--x", "100000", "--workers", "1"],
+    )
+    for argv in refused:
+        run = _fresh_python("-c", code, *argv)
+        assert run.stdout.strip() == "1 False", (argv, run.stderr)
+        assert run.stderr.startswith("error: "), argv
+
+
 @pytest.fixture
 def no_prime_work(monkeypatch):
     """Make every sieve, prime stream and root table entry point raise."""
@@ -293,8 +314,8 @@ def no_prime_work(monkeypatch):
         raise RuntimeError("prime work started")
 
     names = (
-        "iter_columns", "iter_records", "iter_primes", "root_table", "iter_root_rows",
-        "_build_root_table",
+        "iter_columns", "iter_records", "iter_primes", "_class_sieve", "root_table",
+        "iter_root_rows", "_build_root_table",
     )
     for mod in (quadfactor.modmath, quadfactor.polysieve, quadfactor.chebsums,
                 quadfactor.verifier, quadfactor.cli):
@@ -336,7 +357,7 @@ def test_sums_default_class_reads_mertens_off_the_ledger(monkeypatch, capsys, re
     def no_pass(*args, **kwargs):
         raise RuntimeError("second prime pass")
 
-    monkeypatch.setattr(quadfactor.chebsums, "iter_primes", no_pass)
+    monkeypatch.setattr(quadfactor.chebsums, "_class_sieve", no_pass)
     assert main(argv) == 0
     assert capsys.readouterr() == expected
 

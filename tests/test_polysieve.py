@@ -10,7 +10,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from quadfactor import modmath, polysieve
-from quadfactor.chebsums import KahanSum
 from quadfactor.cli import main
 from quadfactor.modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, primes_in
 from quadfactor.polysieve import (
@@ -431,11 +430,11 @@ def _record_cumulative(records, top, with_prime_powers):
                 if d > top:
                     break
                 base_prime[d] = p
-    acc = KahanSum()
+    terms = []
     cumulative = []
     for d, count in sorted(_record_incidence(records, top, with_prime_powers).items()):
-        acc.add(math.log(base_prime.get(d, d)) * count)
-        cumulative.append((d, acc.total))
+        terms.append(math.log(base_prime.get(d, d)) * count)
+        cumulative.append((d, math.fsum(terms)))
     return cumulative
 
 
@@ -459,8 +458,5 @@ def test_column_reductions_equal_the_record_loops(data):
         assert all(type(k) is int and type(v) is int for k, v in got.items())
         curve = coverage_curve(x, with_prime_powers=powers, columns=columns)
         assert list(curve.cumulative) == _record_cumulative(records, 4 * x * x + 1, powers)
-    acc = KahanSum()
-    for rec in records:
-        for p, e in rec.factors:
-            acc.add(e * math.log(p))
-    assert lambda_identity_check(x, columns=columns).lambda_side == acc.total
+    terms = [e * math.log(p) for rec in records for p, e in rec.factors]
+    assert lambda_identity_check(x, columns=columns).lambda_side == math.fsum(terms)

@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 
 from quadfactor import verifier
-from quadfactor.chebsums import KahanSum, power_cutoff, sum_ledger
+from quadfactor.chebsums import power_cutoff, sum_ledger
 from quadfactor.modmath import hensel_lift, iter_primes, sqrt_minus_one
 from quadfactor.polysieve import incidence_counts, sieve_columns
 from quadfactor.rootcount import count_in_class, count_root_classes
@@ -16,6 +17,20 @@ from quadfactor.verifier import (
 )
 
 from oracles import trial_division_factor
+
+
+def _key_terms(x, with_prime_powers, top=None):
+    """(d, log p * incidence(d)) for every divisor key d <= top of n^2+1 over
+    (x, 2x], ascending, from trial division."""
+    top = 4 * x * x + 1 if top is None else top
+    counts, base = {}, {}
+    for n in range(x + 1, 2 * x + 1):
+        for p, e in trial_division_factor(n * n + 1):
+            for k in range(1, e + 1 if with_prime_powers else 2):
+                if p**k <= top:
+                    counts[p**k] = counts.get(p**k, 0) + 1
+                    base[p**k] = p
+    return [(d, math.log(base[d]) * counts[d]) for d in sorted(counts)]
 
 
 def test_lhs_logsum_single_term():
@@ -54,17 +69,16 @@ def test_progression_route_reproduces_logsum():
     # factorization of any individual n is involved.
     for x in (100, 123):
         top = 4 * x * x + 1
-        acc = KahanSum()
-        acc.add(math.log(2) * count_in_class(x, 2, 1))  # 4 never divides n^2+1
+        terms = [math.log(2) * count_in_class(x, 2, 1)]  # 4 never divides n^2+1
         for p in iter_primes(5, top, (4, 1)):
             root = sqrt_minus_one(p)
-            acc.add(math.log(p) * count_root_classes(x, p, root.b))
+            terms.append(math.log(p) * count_root_classes(x, p, root.b))
             k = 2
             while p**k <= top:
                 lifted = hensel_lift(root, k)
-                acc.add(math.log(p) * count_root_classes(x, lifted.m, lifted.r))
+                terms.append(math.log(p) * count_root_classes(x, lifted.m, lifted.r))
                 k += 1
-        assert acc.total == pytest.approx(lhs_logsum(x), rel=1e-12)
+        assert math.fsum(terms) == pytest.approx(lhs_logsum(x), rel=1e-12)
 
 
 def test_coverage_complete_with_prime_powers():
@@ -76,6 +90,9 @@ def test_coverage_complete_with_prime_powers():
     assert rhos[-1] == pytest.approx(1.0, abs=1e-9)
     assert curve.points[-1][0] == 4 * 100 * 100 + 1
     assert curve.delta_star is not None
+    # both sides are exact sums of their terms, rounded once
+    assert curve.total == math.fsum(math.log(n * n + 1) for n in range(101, 201))
+    assert curve.points[-1][1] == math.fsum(t for _, t in _key_terms(100, True))
 
 
 def test_coverage_prime_power_mass_is_small_but_real():
@@ -100,6 +117,50 @@ def test_coverage_delta_star_tolerance_monotone():
         one_curve.delta_star_at(1.0)
 
 
+@pytest.mark.parametrize("segment_size", [1, 7, None])
+def test_reductions_equal_fsum_of_their_terms(segment_size):
+    # lhs, the von Mangoldt side and every prefix of the coverage cumulative
+    # are math.fsum of their terms, whatever the segment size
+    x = 150
+    kwargs = {} if segment_size is None else {"segment_size": segment_size}
+    assert lhs_logsum(x) == math.fsum(math.log(n * n + 1) for n in range(x + 1, 2 * x + 1))
+    factors = [pe for n in range(x + 1, 2 * x + 1) for pe in trial_division_factor(n * n + 1)]
+    led = lambda_identity_check(x, **kwargs)
+    assert led.lambda_side == math.fsum(e * math.log(p) for p, e in factors)
+    for powers in (False, True):
+        keys = _key_terms(x, powers)
+        curve = coverage_curve(x, with_prime_powers=powers, **kwargs)
+        assert [d for d, _ in curve.cumulative] == [d for d, _ in keys]
+        for k, (_, c) in enumerate(curve.cumulative):
+            assert c == math.fsum(t for _, t in keys[: k + 1])
+
+
+def _delta_star_by_scan(curve, tol):
+    """The linear scan delta_star_at replaced: first C >= (1 - tol) * total."""
+    threshold = (1.0 - tol) * curve.total
+    for d, c in curve.cumulative:
+        if c >= threshold:
+            return math.log(d) / math.log(curve.x) - 1.0
+    return None
+
+
+def test_delta_star_at_equals_linear_scan():
+    rng = random.Random(5)
+    for x, powers in ((100, True), (100, False), (257, True), (257, False)):
+        curve = coverage_curve(x, with_prime_powers=powers)
+        cs = [c for _, c in curve.cumulative]
+        assert cs == sorted(cs)
+        # random tolerances, tolerances that put the threshold on a point of
+        # the curve, and one the powerless curve never reaches
+        tols = [rng.uniform(1e-6, 1 - 1e-6) for _ in range(40)]
+        tols += [1.0 - c / curve.total for c in rng.sample(cs, 20) if 0 < c < curve.total]
+        tols += [1e-12]
+        for tol in tols:
+            assert curve.delta_star_at(tol) == _delta_star_by_scan(curve, tol), tol
+        if not powers:
+            assert curve.delta_star_at(1e-12) is None
+
+
 def test_contradiction_probe_truncated_bound():
     columns = [sieve_columns(10**3 + 1, 2 * 10**3)]
     deltas = [0.5, 0.0, 0.25, 0.0]
@@ -112,17 +173,16 @@ def test_contradiction_probe_truncated_bound():
 
 
 def test_contradiction_probe_reads_each_cutoff_off_one_pass():
-    # n_trunc against a fresh compensated sum per cutoff, R and S against
+    # n_trunc against math.fsum of its terms per cutoff, R and S against
     # single-delta ledgers: bit for bit
     x = 700
     columns = [sieve_columns(x + 1, 2 * x)]
     deltas = [0.4, 0.0, 1.0, 0.1, 0.4]
     for led in contradiction_probe(x, deltas, columns=columns):
-        acc = KahanSum()
-        for p, count in sorted(incidence_counts(x, led.cutoff, columns=columns).items()):
-            acc.add(math.log(p) * count)
-        assert led.n_trunc == acc.total
-        assert led.margin_exact == led.lhs_exact - acc.total
+        incidence = incidence_counts(x, led.cutoff, columns=columns).items()
+        n_trunc = math.fsum(math.log(p) * count for p, count in incidence)
+        assert led.n_trunc == n_trunc
+        assert led.margin_exact == led.lhs_exact - n_trunc
         (single,) = sum_ledger(x, [led.delta])
         assert (led.R, led.S) == (single.R, single.S)
 
