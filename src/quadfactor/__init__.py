@@ -1,52 +1,45 @@
 """Factor n^2+1 over integer intervals with a root-driven segmented sieve,
 and evaluate the log-weighted sum decompositions that locate its prime
-divisors."""
+divisors.
 
-from .chebsums import (
-    SumLedger,
-    mertens_ap,
-    mertens_prefixes,
-    power_cutoff,
-    sum_ledger,
-)
-from .modmath import (
-    PrimePowerRoot,
-    RootPair,
-    hensel_lift,
-    is_prime,
-    iter_primes,
-    primes_in,
-    sqrt_minus_one,
-)
-from .polysieve import (
-    FactorColumns,
-    FactorizationRecord,
-    RecordBlock,
-    incidence_counts,
-    iter_columns,
-    iter_records,
-    records_scan,
-    sieve_columns,
-    sieve_segment,
-)
-from .rootcount import (
-    SolutionCount,
-    count_by_floor_identity,
-    count_exact,
-    count_in_class,
-    count_root_classes,
-    count_upper_bound,
-    solution_count,
-)
-from .verifier import (
-    ChainLedger,
-    CoverageCurve,
-    ProbeResult,
-    contradiction_probe,
-    coverage_curve,
-    lambda_identity_check,
-    lhs_logsum,
-    largest_prime_probe,
-)
+The exports below are loaded on first use (PEP 562), so importing the
+package, or the CLI through it, loads none of its submodules.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "chebsums": ("SumLedger", "mertens_ap", "mertens_prefixes", "power_cutoff", "sum_ledger"),
+    "modmath": (
+        "PrimePowerRoot", "RootPair", "hensel_lift", "is_prime", "iter_primes", "primes_in",
+        "sqrt_minus_one",
+    ),
+    "polysieve": (
+        "FactorColumns", "FactorizationRecord", "RecordBlock", "incidence_counts",
+        "iter_columns", "iter_records", "records_scan", "sieve_columns", "sieve_segment",
+    ),
+    "rootcount": (
+        "SolutionCount", "count_by_floor_identity", "count_exact", "count_in_class",
+        "count_root_classes", "count_upper_bound", "solution_count",
+    ),
+    "verifier": (
+        "ChainLedger", "CoverageCurve", "ProbeResult", "contradiction_probe", "coverage_curve",
+        "lambda_identity_check", "lhs_logsum", "largest_prime_probe",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # bound once, as an eager import would
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -140,6 +140,8 @@ def power_cutoff(x: int, delta: float, limit: Optional[int] = HI_MAX) -> int:
     """
     if x < 1:
         raise ValueError("x must be >= 1")
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if x == 1:

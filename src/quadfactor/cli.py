@@ -11,6 +11,13 @@ sieve and records write one row per n, so they format the factor columns
 of a segment at a time through one row template, with the same bytes as
 formatting each value on its own; the other subcommands write a handful of
 rows, formatted one value at a time.
+
+Each request is a fresh interpreter, so start-up is part of its cost.  At
+module level this imports only argparse, the stdlib every subcommand needs
+and modmath's envelope constants.  Each subcommand imports its own modules
+after its argument checks, and stdlib that one branch needs (tempfile, json,
+the fork pool) is imported in that branch: --help, a refused request or
+verify counts never import the sieve, the sum ledgers or numpy.
 """
 
 from __future__ import annotations
@@ -18,21 +25,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import math
 import os
-import random
 import sys
-import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .chebsums import mertens_prefixes, sum_ledger
-from .modmath import DEFAULT_SEGMENT_SIZE, primes_in, sqrt_minus_one
-from .polysieve import HI_MAX, iter_columns, records_scan
-from .rootcount import solution_count
-from .verifier import contradiction_probe, coverage_curve, largest_prime_probe
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX
 
 WORKERS_ENV = "QUADFACTOR_WORKERS"
 X_MAX = HI_MAX // 2
@@ -77,6 +76,8 @@ def _format_rows(
         for row in rows:
             yield ",".join(map(_fmt_value, row)) + "\n"
     else:
+        import json
+
         for row in rows:
             yield json.dumps(dict(zip(header, row))) + "\n"
 
@@ -120,6 +121,8 @@ def _emit(config: RunConfig, text: Iterable[str]) -> None:
         with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
             out.writelines(text)
         return
+    import tempfile
+
     target = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(
         prefix=os.path.basename(target) + ".", suffix=".tmp", dir=os.path.dirname(target)
@@ -222,6 +225,13 @@ def _config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("workers must be >= 1")
     if args.segment_size < 1:
         raise ValueError("segment-size must be >= 1")
+    if args.output:
+        # refused here, before any work: _emit would fail only after the last row
+        if os.path.isdir(args.output):
+            raise ValueError(f"cannot write {args.output}: it is a directory")
+        parent = os.path.dirname(os.path.realpath(args.output))
+        if not os.path.isdir(parent):
+            raise ValueError(f"cannot write {args.output}: {parent} is not a directory")
     return RunConfig(
         workers=workers,
         segment_size=args.segment_size,
@@ -238,6 +248,7 @@ def _require_interval_x(x: int) -> None:
 def _cmd_sieve(args: argparse.Namespace, config: RunConfig) -> int:
     if not 2 <= args.lo <= args.hi <= HI_MAX:
         raise ValueError(f"need 2 <= lo <= hi <= {HI_MAX}")
+    from .polysieve import iter_columns
 
     def blocks() -> Iterator[Sequence[Iterable]]:
         for cols in iter_columns(args.lo, args.hi, config.segment_size, config.workers):
@@ -258,6 +269,8 @@ def _cmd_sieve(args: argparse.Namespace, config: RunConfig) -> int:
 def _cmd_records(args: argparse.Namespace, config: RunConfig) -> int:
     if not 2 <= args.n_max <= HI_MAX:
         raise ValueError(f"need 2 <= n-max <= {HI_MAX}")
+    from .polysieve import records_scan
+
     blocks = (
         (
             range(block.lo, block.lo + len(block.largest)),
@@ -279,6 +292,8 @@ def _cmd_sums(args: argparse.Namespace, config: RunConfig) -> int:
         raise ValueError(f"q must be in [1, {Q_MAX}]")
     if math.gcd(args.a % args.q, args.q) != 1:
         raise ValueError(f"residue {args.a} is not invertible mod {args.q}")
+    from .chebsums import mertens_prefixes, sum_ledger
+
     ledgers = sum_ledger(args.x, args.delta)
     if (args.q, args.a % args.q) == (4, 1):
         # the ledger's own mertens sum runs over this class
@@ -314,6 +329,12 @@ def _cmd_verify_counts(args: argparse.Namespace, config: RunConfig) -> int:
         raise ValueError("verify counts supports x in [1, 10^6]")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
+    import random
+    from fractions import Fraction
+
+    from .modmath import primes_in, sqrt_minus_one
+    from .rootcount import solution_count
+
     rng = random.Random(args.seed)
     pool = primes_in(5, 10**5, (4, 1))
     _log(f"verify counts: seed={args.seed} trials={args.trials} x_max={args.x}")
@@ -357,6 +378,8 @@ def _cmd_verify_counts(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
     _require_interval_x(args.x)
+    from .verifier import coverage_curve
+
     curve = coverage_curve(
         args.x,
         with_prime_powers=args.prime_powers,
@@ -388,6 +411,8 @@ def _cmd_chain(args: argparse.Namespace, config: RunConfig) -> int:
         raise ValueError(f"bad delta grid: {exc}") from None
     if not grid:
         raise ValueError("delta grid is empty")
+    from .verifier import contradiction_probe
+
     ledgers = contradiction_probe(
         args.x, grid, segment_size=config.segment_size, workers=config.workers
     )
@@ -411,6 +436,8 @@ def _cmd_probe(args: argparse.Namespace, config: RunConfig) -> int:
     _require_interval_x(args.x)
     if args.x < 2:
         raise ValueError("probe needs x >= 2")
+    from .verifier import largest_prime_probe
+
     result = largest_prime_probe(
         args.x, segment_size=config.segment_size, workers=config.workers
     )

@@ -27,10 +27,8 @@ library boundary.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass
 from operator import truediv
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
@@ -228,6 +226,9 @@ def iter_columns(
         for seg in bounds:
             yield sieve_columns(*seg)
         return
+    import concurrent.futures
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=min(workers, len(bounds)), mp_context=ctx

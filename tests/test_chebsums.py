@@ -86,6 +86,15 @@ def test_power_cutoff_guard_band():
     assert power_cutoff(10**6, 1.0, limit=None) == 10**12
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_power_cutoff_refuses_non_finite_delta(delta):
+    for limit in (chebsums.HI_MAX, None):
+        with pytest.raises(ValueError, match="^delta must be finite$"):
+            power_cutoff(10, delta, limit)
+    with pytest.raises(ValueError, match="^delta must be finite$"):
+        sum_ledger(10, [0.5, delta])
+
+
 def test_primary_term_examples():
     assert sum_ledger(2, [0.0])[0].R == 0.0  # no primes = 1 (mod 4) up to 2
     led = sum_ledger(10**4, [0.5])[0]

@@ -193,14 +193,16 @@ def test_root_table_audit_failure_exits_2(monkeypatch, capsys):
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
-    from quadfactor import cli, polysieve
+    from quadfactor import polysieve
+
+    iter_columns = polysieve.iter_columns
 
     def failing(lo, hi, segment_size, workers):
-        yield from polysieve.iter_columns(lo, lo + 9, segment_size, workers)
+        yield from iter_columns(lo, lo + 9, segment_size, workers)
         raise AssertionError("residual audit failed")
 
     argv = ["sieve", "--lo", "2", "--hi", "100"]
-    monkeypatch.setattr(cli, "iter_columns", failing)
+    monkeypatch.setattr(polysieve, "iter_columns", failing)
     fresh = tmp_path / "fresh.csv"
     assert main(argv + ["-o", str(fresh)]) == 2
     assert not fresh.exists()
@@ -233,6 +235,55 @@ def test_leftover_temporary_file_does_not_block_output(tmp_path):
     assert main(["sieve", "--lo", "2", "--hi", "20", "-o", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 20
     assert stale.read_bytes() == b"killed midway\n"
+
+
+def test_unwritable_output_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # a missing directory or a directory as the target used to fail in _emit,
+    # after every row was computed, with a traceback naming the temporary file
+    from quadfactor import chebsums, polysieve, rootcount, verifier
+
+    def no_work(*args, **kwargs):
+        raise RuntimeError("work started")
+
+    entry_points = (
+        (chebsums, ("sum_ledger", "mertens_prefixes")),
+        (polysieve, ("iter_columns", "records_scan")),
+        (rootcount, ("solution_count",)),
+        (verifier, ("coverage_curve", "contradiction_probe", "largest_prime_probe")),
+    )
+    for mod, names in entry_points:
+        for name in names:
+            monkeypatch.setattr(mod, name, no_work)
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    missing = tmp_path / "missing" / "out.csv"
+    refusals = {
+        str(missing): f"cannot write {missing}: {os.path.realpath(missing.parent)} "
+        "is not a directory",
+        str(existing): f"cannot write {existing}: it is a directory",
+    }
+    requests = (
+        ["sums", "--x", "1000", "--delta", "0", "--delta", "0.5"],
+        ["sieve", "--lo", "2", "--hi", "50"],
+        ["records", "--n-max", "50", "--format", "jsonl"],
+        ["verify", "counts", "--trials", "5"],
+        ["coverage", "--x", "100"],
+        ["chain", "--x", "100", "--delta-grid", "0,0.5"],
+        ["probe", "--x", "10"],
+    )
+    for argv in requests:
+        for target, message in refusals.items():
+            assert main(argv + ["-o", target]) == 1, argv
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+    assert not any(existing.iterdir())
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_non_finite_delta_is_refused(no_prime_work, capsys, delta):
+    # float() parses these; the cutoff used to fail on converting them to int
+    assert main(["sums", "--x", "1000", "--delta", "0", f"--delta={delta}"]) == 1
+    assert capsys.readouterr() == ("", "error: delta must be finite\n")
 
 
 def test_output_to_a_device_is_written_in_place(capsys):
@@ -299,6 +350,100 @@ def test_refused_requests_do_not_import_numpy():
         run = _fresh_python("-c", code, *argv)
         assert run.stdout.strip() == "1 False", (argv, run.stderr)
         assert run.stderr.startswith("error: "), argv
+
+
+# the package's exports and their defining modules
+EXPORTS = {
+    "chebsums": ("SumLedger", "mertens_ap", "mertens_prefixes", "power_cutoff", "sum_ledger"),
+    "modmath": (
+        "PrimePowerRoot", "RootPair", "hensel_lift", "is_prime", "iter_primes", "primes_in",
+        "sqrt_minus_one",
+    ),
+    "polysieve": (
+        "FactorColumns", "FactorizationRecord", "RecordBlock", "incidence_counts",
+        "iter_columns", "iter_records", "records_scan", "sieve_columns", "sieve_segment",
+    ),
+    "rootcount": (
+        "SolutionCount", "count_by_floor_identity", "count_exact", "count_in_class",
+        "count_root_classes", "count_upper_bound", "solution_count",
+    ),
+    "verifier": (
+        "ChainLedger", "CoverageCurve", "ProbeResult", "contradiction_probe", "coverage_curve",
+        "lambda_identity_check", "lhs_logsum", "largest_prime_probe",
+    ),
+}
+
+
+def _imported(*args):
+    """Every module a fresh interpreter imports for these arguments."""
+    run = _fresh_python("-X", "importtime", *args)
+    assert run.returncode == 0, (args, run.stderr)
+    return {
+        line.rsplit("|", 1)[-1].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    # what a bare interpreter imports (site customizations included) is not
+    # charged to the request
+    bare = _imported("-c", "pass")
+    compute = {f"quadfactor.{name}" for name in ("chebsums", "polysieve", "verifier", "rootcount")}
+    heavy = {"numpy", "multiprocessing", "concurrent.futures", "fractions"}
+    for sub in ("", "sieve", "records", "sums", "verify", "coverage", "chain", "probe"):
+        loaded = _imported("-m", "quadfactor", *sub.split(), "--help") - bare
+        assert "quadfactor.cli" in loaded
+        assert not loaded & (compute | heavy), sub
+    cases = (
+        (
+            ["sums", "--x", "1000", "--delta", "0", "--delta", "0.5"],
+            {"quadfactor.chebsums", "numpy"},
+            {"quadfactor.polysieve", "quadfactor.verifier", "quadfactor.rootcount",
+             "multiprocessing"},
+        ),
+        (
+            ["verify", "counts", "--trials", "5"],
+            {"quadfactor.rootcount"},
+            {"quadfactor.chebsums", "quadfactor.polysieve", "quadfactor.verifier", "numpy",
+             "multiprocessing"},
+        ),
+        (
+            ["sieve", "--lo", "2", "--hi", "3000", "--segment-size", "500", "--workers", "1"],
+            {"quadfactor.polysieve", "numpy"},
+            {"quadfactor.chebsums", "quadfactor.verifier", "quadfactor.rootcount",
+             "multiprocessing", "concurrent.futures"},
+        ),
+        (
+            ["records", "--n-max", "3000", "--segment-size", "500", "--workers", "2"],
+            {"quadfactor.polysieve", "numpy", "multiprocessing"},
+            {"quadfactor.chebsums", "quadfactor.verifier", "quadfactor.rootcount"},
+        ),
+    )
+    for argv, needed, unneeded in cases:
+        imported = _imported("-m", "quadfactor", *argv, "-o", os.devnull)
+        assert needed <= imported, argv
+        assert not (imported - bare) & unneeded, argv
+    # importing the package loads no submodule; each export is served on use
+    code = (
+        "import importlib, json, sys\n"
+        "import quadfactor\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('quadfactor.'))\n"
+        "exports = json.loads(sys.argv[1])\n"
+        "listed = set(dir(quadfactor)) >= {n for names in exports.values() for n in names}\n"
+        "same = all(\n"
+        "    getattr(quadfactor, n) is getattr(importlib.import_module('quadfactor.' + m), n)\n"
+        "    for m, names in exports.items() for n in names\n"
+        ")\n"
+        "star = {}\n"
+        "exec('from quadfactor import *', star)\n"
+        "print(json.dumps([loaded, listed, same, sorted(set(star) - {'__builtins__'})]))\n"
+    )
+    run = _fresh_python("-c", code, json.dumps(EXPORTS))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [
+        [], True, True, sorted(n for names in EXPORTS.values() for n in names)
+    ]
 
 
 @pytest.fixture
