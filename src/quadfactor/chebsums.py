@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
-from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _class_sieve, iter_root_rows
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _class_sieve, _logs, iter_root_rows
 
 if TYPE_CHECKING:
     import numpy
@@ -71,17 +71,6 @@ class _ExactSum:
 
     def value(self) -> float:
         return self._total / _SCALE
-
-
-def _logs(values: "numpy.ndarray") -> "numpy.ndarray":
-    """math.log of each integer, as float64.
-
-    math.log, not np.log: numpy's vectorized log can differ from it in the
-    last bit, and from one CPU's SIMD dispatch to another's.
-    """
-    import numpy as np
-
-    return np.fromiter(map(math.log, values.tolist()), np.float64, count=values.size)
 
 
 def _prefix_sums(

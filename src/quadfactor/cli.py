@@ -3,21 +3,22 @@
 Data rows go to --output (or stdout) as CSV or JSON lines; everything else
 goes to stderr.  An --output file is complete or absent: it is renamed into
 place only after its last row.  Exit codes: 0 success, 1 validation/usage
-error, 2 internal assertion failure.  CSV floats carry 17 significant
-digits; JSON lines carry json.dumps' shortest round-trip repr.  Either way
-output files are byte-stable and round-trip exact.
+error (or a reader that closed stdout early), 2 internal assertion failure.
 
-sieve and records write one row per n, so they format the factor columns
-of a segment at a time through one row template, with the same bytes as
-formatting each value on its own; the other subcommands write a handful of
-rows, formatted one value at a time.
+Every subcommand declares its columns once, each with a kind, and writes
+its rows through one row template built from them: ints as %d, floats as
+%.17g in CSV and %r (the shortest round-trip repr, as json.dumps writes
+it) in JSON lines, bools as true/false.  So output files are byte-stable
+and round-trip exact.  sieve and records hand the template a segment of
+factor columns at a time; the other subcommands hand it all their rows as
+one block.
 
 Each request is a fresh interpreter, so start-up is part of its cost.  At
 module level this imports only argparse, the stdlib every subcommand needs
 and modmath's envelope constants.  Each subcommand imports its own modules
-after its argument checks, and stdlib that one branch needs (tempfile, json,
-the fork pool) is imported in that branch: --help, a refused request or
-verify counts never import the sieve, the sum ledgers or numpy.
+after its argument checks, and stdlib that one branch needs (tempfile, the
+fork pool) is imported in that branch: --help, a refused request or verify
+counts never import the sieve, the sum ledgers or numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX
@@ -49,47 +49,15 @@ _CONVERSIONS = {
 _BOOL_TEXT = ("false", "true")
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Shared run parameters resolved from flags and the environment."""
-
-    workers: int
-    segment_size: int
-    output: Optional[str]
-    fmt: str
-
-
-def _fmt_value(v: object) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def _format_rows(
-    fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]
-) -> Iterator[str]:
-    """The text of a few rows, formatted one value at a time."""
-    if fmt == "csv":
-        yield ",".join(header) + "\n"
-        for row in rows:
-            yield ",".join(map(_fmt_value, row)) + "\n"
-    else:
-        import json
-
-        for row in rows:
-            yield json.dumps(dict(zip(header, row))) + "\n"
-
-
 def _format_blocks(
     fmt: str, columns: Sequence[Tuple[str, str]], blocks: Iterable[Sequence[Iterable]]
 ) -> Iterator[str]:
     """The text of row blocks given as columns, one template per row.
 
     columns names each column and its kind (a key of _CONVERSIONS); each
-    block holds one iterable per column, equally long.  The bytes equal
-    _format_rows over the same rows.
+    block holds one iterable per column, equally long.  Values must be of
+    their column's kind (Python, not numpy, scalars): %d would truncate a
+    float and %r would spell out a numpy type.
     """
     kinds = [kind for _, kind in columns]
     if fmt == "csv":
@@ -108,15 +76,15 @@ def _format_blocks(
             yield text
 
 
-def _emit(config: RunConfig, text: Iterable[str]) -> None:
-    """Write the text to stdout, or to config.output complete or not at all.
+def _emit(args: argparse.Namespace, text: Iterable[str]) -> None:
+    """Write the text to stdout, or to args.output complete or not at all.
 
     A file is written under a temporary name in its own directory and
     renamed over the target after the last row, so a run that fails midway
     leaves no partial file and any earlier one untouched.  A target that is
     not a regular file (a device, a pipe) is written directly.
     """
-    path = config.output
+    path = args.output
     if not path or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
             out.writelines(text)
@@ -219,9 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    workers = args.workers if args.workers is not None else _default_workers()
-    if workers < 1:
+def _check_common(args: argparse.Namespace) -> None:
+    """Refuse bad shared flags before any work; resolve args.workers in place."""
+    if args.workers is None:
+        args.workers = _default_workers()
+    if args.workers < 1:
         raise ValueError("workers must be >= 1")
     if args.segment_size < 1:
         raise ValueError("segment-size must be >= 1")
@@ -232,12 +202,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         parent = os.path.dirname(os.path.realpath(args.output))
         if not os.path.isdir(parent):
             raise ValueError(f"cannot write {args.output}: {parent} is not a directory")
-    return RunConfig(
-        workers=workers,
-        segment_size=args.segment_size,
-        output=args.output,
-        fmt=args.format,
-    )
 
 
 def _require_interval_x(x: int) -> None:
@@ -245,13 +209,13 @@ def _require_interval_x(x: int) -> None:
         raise ValueError(f"x must be in [1, {X_MAX}]")
 
 
-def _cmd_sieve(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_sieve(args: argparse.Namespace) -> int:
     if not 2 <= args.lo <= args.hi <= HI_MAX:
         raise ValueError(f"need 2 <= lo <= hi <= {HI_MAX}")
     from .polysieve import iter_columns
 
     def blocks() -> Iterator[Sequence[Iterable]]:
-        for cols in iter_columns(args.lo, args.hi, config.segment_size, config.workers):
+        for cols in iter_columns(args.lo, args.hi, args.segment_size, args.workers):
             ns = range(cols.lo, cols.lo + len(cols.counts))
             powers = map("%d^%d".__mod__, zip(cols.primes.tolist(), cols.exponents.tolist()))
             factorizations = [";".join(itertools.islice(powers, c)) for c in cols.counts.tolist()]
@@ -262,11 +226,11 @@ def _cmd_sieve(args: argparse.Namespace, config: RunConfig) -> int:
         ("n", "int"), ("n2p1", "int"), ("factorization", "str"),
         ("largest_prime", "int"), ("exponent", "float"),
     )
-    _emit(config, _format_blocks(config.fmt, columns, blocks()))
+    _emit(args, _format_blocks(args.format, columns, blocks()))
     return 0
 
 
-def _cmd_records(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_records(args: argparse.Namespace) -> int:
     if not 2 <= args.n_max <= HI_MAX:
         raise ValueError(f"need 2 <= n-max <= {HI_MAX}")
     from .polysieve import records_scan
@@ -278,14 +242,14 @@ def _cmd_records(args: argparse.Namespace, config: RunConfig) -> int:
             block.exponent,
             block.is_record.tolist(),
         )
-        for block in records_scan(args.n_max, config.segment_size, config.workers)
+        for block in records_scan(args.n_max, args.segment_size, args.workers)
     )
     columns = (("n", "int"), ("largest_prime", "int"), ("exponent", "float"), ("is_record", "bool"))
-    _emit(config, _format_blocks(config.fmt, columns, blocks))
+    _emit(args, _format_blocks(args.format, columns, blocks))
     return 0
 
 
-def _cmd_sums(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_sums(args: argparse.Namespace) -> int:
     if args.x < 2 or args.x > HI_MAX:
         raise ValueError(f"x must be in [2, {HI_MAX}]")
     if not 1 <= args.q <= Q_MAX:
@@ -316,15 +280,16 @@ def _cmd_sums(args: argparse.Namespace, config: RunConfig) -> int:
         )
         for led, m in zip(ledgers, mertens)
     ]
-    header = (
-        "x", "delta", "cutoff", "R", "S", "residual_R", "residual_S",
-        "term_count", "q", "a", "mertens",
+    columns = (
+        ("x", "int"), ("delta", "float"), ("cutoff", "int"), ("R", "float"), ("S", "float"),
+        ("residual_R", "float"), ("residual_S", "float"), ("term_count", "int"),
+        ("q", "int"), ("a", "int"), ("mertens", "float"),
     )
-    _emit(config, _format_rows(config.fmt, header, rows))
+    _emit(args, _format_blocks(args.format, columns, [zip(*rows)]))
     return 0
 
 
-def _cmd_verify_counts(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_verify_counts(args: argparse.Namespace) -> int:
     if args.x < 1 or args.x > 10**6:
         raise ValueError("verify counts supports x in [1, 10^6]")
     if args.trials < 1:
@@ -342,6 +307,9 @@ def _cmd_verify_counts(args: argparse.Namespace, config: RunConfig) -> int:
     rows = []
     for trial in range(args.trials):
         p = pool[rng.randrange(len(pool))]
+        # p <= 4 x^2 + 1 must hold for some x <= x_max; 5 always qualifies
+        while 4 * args.x * args.x + 1 < p:
+            p = pool[rng.randrange(len(pool))]
         x = rng.randint(1, args.x)
         while 4 * x * x + 1 < p:
             x = rng.randint(1, args.x)
@@ -364,11 +332,12 @@ def _cmd_verify_counts(args: argparse.Namespace, config: RunConfig) -> int:
                 bound_ok,
             )
         )
-    header = (
-        "trial", "x", "p", "b", "exact", "floor_identity",
-        "bound_num", "bound_den", "identity_ok", "bound_ok",
+    columns = (
+        ("trial", "int"), ("x", "int"), ("p", "int"), ("b", "int"), ("exact", "int"),
+        ("floor_identity", "int"), ("bound_num", "int"), ("bound_den", "int"),
+        ("identity_ok", "bool"), ("bound_ok", "bool"),
     )
-    _emit(config, _format_rows(config.fmt, header, rows))
+    _emit(args, _format_blocks(args.format, columns, [zip(*rows)]))
     if failures:
         _log(f"verify counts: {failures} of {args.trials} trials FAILED")
         return 2
@@ -376,7 +345,7 @@ def _cmd_verify_counts(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_coverage(args: argparse.Namespace) -> int:
     _require_interval_x(args.x)
     from .verifier import coverage_curve
 
@@ -384,14 +353,15 @@ def _cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
         args.x,
         with_prime_powers=args.prime_powers,
         tail_tolerance=args.tail_tolerance,
-        segment_size=config.segment_size,
-        workers=config.workers,
+        segment_size=args.segment_size,
+        workers=args.workers,
     )
-    header = ("x", "y", "C", "rho", "with_prime_powers")
+    columns = (("x", "int"), ("y", "int"), ("C", "float"), ("rho", "float"),
+               ("with_prime_powers", "bool"))
     rows = (
         (curve.x, y, c, rho, curve.with_prime_powers) for y, c, rho in curve.points
     )
-    _emit(config, _format_rows(config.fmt, header, rows))
+    _emit(args, _format_blocks(args.format, columns, [zip(*rows)]))
     _log(
         f"coverage: x={curve.x} prime_powers={curve.with_prime_powers} "
         f"tail_tolerance={curve.tail_tolerance:g} delta_star={curve.delta_star}"
@@ -401,7 +371,7 @@ def _cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_chain(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_chain(args: argparse.Namespace) -> int:
     _require_interval_x(args.x)
     if args.x < 2:
         raise ValueError("chain needs x >= 2")
@@ -414,7 +384,7 @@ def _cmd_chain(args: argparse.Namespace, config: RunConfig) -> int:
     from .verifier import contradiction_probe
 
     ledgers = contradiction_probe(
-        args.x, grid, segment_size=config.segment_size, workers=config.workers
+        args.x, grid, segment_size=args.segment_size, workers=args.workers
     )
     rows = [
         (
@@ -424,27 +394,36 @@ def _cmd_chain(args: argparse.Namespace, config: RunConfig) -> int:
         )
         for led in ledgers
     ]
-    header = (
-        "x", "delta", "cutoff", "lhs_exact", "lhs_main_term", "lambda_side",
-        "n_trunc", "R", "S", "margin", "margin_exact",
+    columns = (
+        ("x", "int"), ("delta", "float"), ("cutoff", "int"), ("lhs_exact", "float"),
+        ("lhs_main_term", "float"), ("lambda_side", "float"), ("n_trunc", "float"),
+        ("R", "float"), ("S", "float"), ("margin", "float"), ("margin_exact", "float"),
     )
-    _emit(config, _format_rows(config.fmt, header, rows))
+    _emit(args, _format_blocks(args.format, columns, [zip(*rows)]))
     return 0
 
 
-def _cmd_probe(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_probe(args: argparse.Namespace) -> int:
     _require_interval_x(args.x)
     if args.x < 2:
         raise ValueError("probe needs x >= 2")
     from .verifier import largest_prime_probe
 
     result = largest_prime_probe(
-        args.x, segment_size=config.segment_size, workers=config.workers
+        args.x, segment_size=args.segment_size, workers=args.workers
     )
-    header = ("x", "max_prime", "arg_n", "exponent", "in_interval")
+    columns = (("x", "int"), ("max_prime", "int"), ("arg_n", "int"), ("exponent", "float"),
+               ("in_interval", "bool"))
     row = (result.x, result.max_prime, result.arg_n, result.exponent, result.in_interval)
-    _emit(config, _format_rows(config.fmt, header, [row]))
+    _emit(args, _format_blocks(args.format, columns, [zip(row)]))
     return 0
+
+
+_COMMANDS = {
+    "sieve": _cmd_sieve, "records": _cmd_records, "sums": _cmd_sums,
+    "verify": _cmd_verify_counts, "coverage": _cmd_coverage, "chain": _cmd_chain,
+    "probe": _cmd_probe,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -457,22 +436,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        config = _config(args)
-        if args.cmd == "sieve":
-            return _cmd_sieve(args, config)
-        if args.cmd == "records":
-            return _cmd_records(args, config)
-        if args.cmd == "sums":
-            return _cmd_sums(args, config)
-        if args.cmd == "verify":
-            return _cmd_verify_counts(args, config)
-        if args.cmd == "coverage":
-            return _cmd_coverage(args, config)
-        if args.cmd == "chain":
-            return _cmd_chain(args, config)
-        if args.cmd == "probe":
-            return _cmd_probe(args, config)
-        parser.print_usage(sys.stderr)
+        _check_common(args)
+        return _COMMANDS[args.cmd](args)
+    except BrokenPipeError:
+        # the reader closed stdout (quadfactor ... | head); stdout goes to
+        # devnull so the flush at exit cannot raise again (see the SIGPIPE
+        # note in the signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (ValueError, OverflowError) as exc:
         _log(f"error: {exc}")

@@ -320,3 +320,14 @@ def _batch_roots(p: "numpy.ndarray", base: Tuple[int, ...]) -> "numpy.ndarray":
         power = power * power % p
         e >>= 1
     return np.minimum(result, p - result)
+
+
+def _logs(values: "numpy.ndarray") -> "numpy.ndarray":
+    """math.log of each integer, as float64.
+
+    math.log, not np.log: numpy's vectorized log can differ from it in the
+    last bit, and from one CPU's SIMD dispatch to another's.
+    """
+    import numpy as np
+
+    return np.fromiter(map(math.log, values.tolist()), np.float64, count=values.size)

@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 from dataclasses import dataclass
-from operator import truediv
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
-from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, root_table
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
 
 if TYPE_CHECKING:
     import numpy
@@ -72,13 +70,11 @@ class FactorColumns:
     largest: "numpy.ndarray"
 
     def exponent(self) -> list[float]:
-        """log P(n^2 + 1) / log n for each n (lo >= 2), by math.log.
+        """log P(n^2 + 1) / log n for each n (lo >= 2), by modmath._logs."""
+        import numpy as np
 
-        math.log, not np.log: numpy's vectorized log can differ from it in
-        the last bit, and from one CPU's SIMD dispatch to another's.
-        """
-        ns = range(self.lo, self.lo + len(self.largest))
-        return list(map(truediv, map(math.log, self.largest.tolist()), map(math.log, ns)))
+        ns = np.arange(self.lo, self.lo + len(self.largest), dtype=np.int64)
+        return (_logs(self.largest) / _logs(ns)).tolist()
 
     def records(self) -> list[FactorizationRecord]:
         pairs = zip(self.primes.tolist(), self.exponents.tolist())

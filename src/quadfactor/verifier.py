@@ -14,9 +14,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .chebsums import _ExactSum, _logs, power_cutoff, sum_ledger
-from .modmath import DEFAULT_SEGMENT_SIZE
-from .polysieve import FactorColumns, HI_MAX, divisor_incidence, iter_columns
+from .chebsums import _ExactSum, power_cutoff, sum_ledger
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs
+from .polysieve import FactorColumns, divisor_incidence, iter_columns
 
 DELTA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 _LOG_CHUNK = 1 << 16  # values n^2+1 whose logs lhs_logsum holds at a time

@@ -292,12 +292,43 @@ def test_output_to_a_device_is_written_in_place(capsys):
     assert capsys.readouterr().out == ""
 
 
-def _fresh_python(*args):
+def _fresh_env():
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _fresh_python(*args):
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=_fresh_env(), capture_output=True, text=True, timeout=60
     )
+
+
+@pytest.mark.parametrize("x_max", [1, 10, 100])
+def test_verify_counts_ends_for_small_x(x_max):
+    # primes are drawn up to 10^5; one above 4 x_max^2 + 1 fits no x <= x_max
+    run = _fresh_python(
+        "-m", "quadfactor", "verify", "counts", "--x", str(x_max), "--trials", "20", "--seed", "0"
+    )
+    assert run.returncode == 0, run.stderr
+    rows = list(csv.DictReader(io.StringIO(run.stdout)))
+    assert len(rows) == 20
+    for row in rows:
+        x, p = int(row["x"]), int(row["p"])
+        assert 1 <= x <= x_max and p <= 4 * x * x + 1, row
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path):
+    # as in `quadfactor sieve ... | head -1`: the reader goes after one line
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quadfactor", "sieve", "--lo", "2", "--hi", "400000"],
+            env=_fresh_env(), stdout=subprocess.PIPE, stderr=err,
+        )
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        rc = proc.wait(timeout=60)
+        err.seek(0)
+        assert (header, rc, err.read()) == (b"n,n2p1,factorization,largest_prime,exponent\n", 1, b"")
 
 
 def test_startup_does_not_import_numpy():
@@ -547,12 +578,63 @@ def _reference_sieve(lo, hi):
     ]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def _reference_ledgers(data):
+    """argv, header and rows of a drawn sums, chain, probe or coverage request."""
+    from quadfactor.chebsums import mertens_prefixes, sum_ledger
+    from quadfactor.verifier import contradiction_probe, coverage_curve, largest_prime_probe
+
+    command = data.draw(st.sampled_from(["sums", "chain", "probe", "coverage"]), label="command")
+    x = data.draw(st.integers(1 if command == "coverage" else 2, 400), label="x")
+    argv = [command, "--x", str(x)]
+    if command == "probe":
+        r = largest_prime_probe(x)
+        header = ("x", "max_prime", "arg_n", "exponent", "in_interval")
+        return argv, header, [(r.x, r.max_prime, r.arg_n, r.exponent, r.in_interval)]
+    if command == "coverage":
+        powers = data.draw(st.booleans(), label="prime_powers")
+        curve = coverage_curve(x, with_prime_powers=powers)
+        header = ("x", "y", "C", "rho", "with_prime_powers")
+        rows = [(x, y, c, rho, powers) for y, c, rho in curve.points]
+        return argv + ["--prime-powers"] * powers, header, rows
+    deltas = data.draw(st.lists(st.floats(0, 1), min_size=1, max_size=3), label="deltas")
+    if command == "chain":
+        header = (
+            "x", "delta", "cutoff", "lhs_exact", "lhs_main_term", "lambda_side",
+            "n_trunc", "R", "S", "margin", "margin_exact",
+        )
+        rows = [
+            (
+                led.x, led.delta, led.cutoff, led.lhs_exact, led.lhs_main_term,
+                led.lambda_side, led.n_trunc, led.R, led.S, led.margin, led.margin_exact,
+            )
+            for led in contradiction_probe(x, deltas)
+        ]
+        return argv + ["--delta-grid", ",".join(map(repr, deltas))], header, rows
+    q = data.draw(st.integers(1, 30), label="q")
+    a = data.draw(st.integers(-60, 60).filter(lambda a: math.gcd(a % q, q) == 1), label="a")
+    ledgers = sum_ledger(x, deltas)
+    mertens = mertens_prefixes([led.cutoff for led in ledgers], q, a)
+    header = (
+        "x", "delta", "cutoff", "R", "S", "residual_R", "residual_S",
+        "term_count", "q", "a", "mertens",
+    )
+    rows = [
+        (
+            led.x, led.delta, led.cutoff, led.R, led.S, led.residual_R, led.residual_S,
+            led.term_count, q, a, m,
+        )
+        for led, m in zip(ledgers, mertens)
+    ]
+    argv += [f"--delta={d!r}" for d in deltas] + ["--q", str(q), f"--a={a}"]
+    return argv, header, rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_block_emitter_matches_the_per_row_writer(data):
-    command = data.draw(st.sampled_from(["records", "sieve"]), label="command")
-    lo = 2 if command == "records" else data.draw(st.integers(2, 10**7), label="lo")
-    hi = lo + data.draw(st.integers(0, 1200), label="width")
+    # every subcommand writes through _format_blocks; the reference formats
+    # each value by its runtime type, so a column of the wrong kind fails
+    command = data.draw(st.sampled_from(["records", "sieve", "ledgers"]), label="writer")
     size = data.draw(
         st.one_of(st.just(1), st.integers(1, 40), st.integers(40, 2000)), label="segment_size"
     )
@@ -561,13 +643,18 @@ def test_block_emitter_matches_the_per_row_writer(data):
     # small writes cut blocks into several pieces; the default cuts none here
     rows_per_write = data.draw(st.sampled_from([1, 7, 1 << 16]), label="rows_per_write")
     if command == "records":
-        argv = ["records", "--n-max", str(max(hi, 2))]
+        n_max = 2 + data.draw(st.integers(0, 1200), label="width")
+        argv = ["records", "--n-max", str(n_max)]
         header = ("n", "largest_prime", "exponent", "is_record")
-        rows = _reference_records(max(hi, 2))
-    else:
+        rows = _reference_records(n_max)
+    elif command == "sieve":
+        lo = data.draw(st.integers(2, 10**7), label="lo")
+        hi = lo + data.draw(st.integers(0, 1200), label="width")
         argv = ["sieve", "--lo", str(lo), "--hi", str(hi)]
         header = ("n", "n2p1", "factorization", "largest_prime", "exponent")
         rows = _reference_sieve(lo, hi)
+    else:
+        argv, header, rows = _reference_ledgers(data)
     argv += ["--segment-size", str(size), "--workers", str(workers), "--format", fmt]
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
