@@ -97,8 +97,13 @@ CASES = {
         "chain", "--x", "100000", "--delta-grid", "1.5,1.0", "--workers", "1",
     ],
     "chain_bad_grid": ["chain", "--x", "300", "--delta-grid", "0,abc", "--workers", "1"],
+    "chain_segments_w2": [
+        "chain", "--x", "1000", "--delta-grid", "0.5,0,0.25", "--segment-size", "97",
+        "--workers", "2",
+    ],
     "probe_csv": ["probe", "--x", "500", "--workers", "1"],
     "probe_jsonl": ["probe", "--x", "500", "--format", "jsonl", "--workers", "1"],
+    "probe_segments_w2": ["probe", "--x", "3000", "--segment-size", "97", "--workers", "2"],
 }
 
 
