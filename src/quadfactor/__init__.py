@@ -9,15 +9,9 @@ package, or the CLI through it, loads none of its submodules.
 import importlib
 
 _EXPORTS = {
-    "chebsums": ("SumLedger", "mertens_ap", "mertens_prefixes", "power_cutoff", "sum_ledger"),
-    "modmath": (
-        "PrimePowerRoot", "RootPair", "hensel_lift", "is_prime", "iter_primes", "primes_in",
-        "sqrt_minus_one",
-    ),
-    "polysieve": (
-        "FactorColumns", "FactorizationRecord", "RecordBlock", "incidence_counts",
-        "iter_columns", "iter_records", "records_scan", "sieve_columns", "sieve_segment",
-    ),
+    "chebsums": ("SumLedger", "mertens_prefixes", "power_cutoff", "sum_ledger"),
+    "modmath": ("RootPair", "is_prime", "iter_primes", "sqrt_minus_one"),
+    "polysieve": ("FactorColumns", "RecordBlock", "iter_columns", "records_scan", "sieve_columns"),
     "rootcount": (
         "SolutionCount", "count_by_floor_identity", "count_exact", "count_in_class",
         "count_root_classes", "count_upper_bound", "solution_count",

@@ -119,13 +119,17 @@ class SumLedger:
 
 
 def power_cutoff(x: int, delta: float, limit: Optional[int] = HI_MAX) -> int:
-    """floor(x^(1+delta)) with a one-ulp guard band.
+    """The cutoff floor(x^(1+delta)), read off c = math.pow(x, 1.0 + delta)
+    raised by one ulp.
 
-    math.pow is correctly rounded on this platform (and pow(x, 1) == x
-    exactly), so rounding c up by one ulp before flooring means integer
-    boundary values (delta = 0 giving x, or 100^1.5 giving 1000) are never
-    lost to a downward rounding; membership of the boundary prime is then a
-    fixed integer comparison.
+    The guard ulp keeps an integer boundary that pow misses by at most one
+    ulp downward, when 1.0 + delta is exact in binary: delta = 0 gives x and
+    100^1.5 gives 1000.  Otherwise the rounding of 1.0 + delta moves c by up
+    to c * log(x) * 2^-53, which for x > e^2 can exceed one ulp, and a
+    boundary can be lost: power_cutoff(243, 0.2) is 728, yet
+    243^1.2 = 3^6 = 729.  An exact integer cutoff is ROADMAP.md item 4.
+    The result is an integer, so a prime's membership below it is an exact
+    comparison.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -149,14 +153,9 @@ def _check_residue(q: int, a: int) -> None:
         raise ValueError(f"residue {a} is not invertible mod {q}")
 
 
-def mertens_ap(z: int, q: int, a: int) -> float:
-    """sum of log p / p over primes p <= z, p = a (mod q), ascending order."""
-    return mertens_prefixes([z], q, a)[0]
-
-
 def mertens_prefixes(cutoffs: Sequence[int], q: int, a: int) -> list[float]:
-    """mertens_ap(z, q, a) for every z in cutoffs, in input order, from one
-    ascending pass up to the largest cutoff."""
+    """sum of log p / p over the primes p <= z, p = a (mod q), for every z in
+    cutoffs, in input order, from one ascending pass up to the largest cutoff."""
     _check_residue(q, a)
     marks = sorted(set(cutoffs))
     if not marks:

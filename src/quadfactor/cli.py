@@ -297,11 +297,11 @@ def _cmd_verify_counts(args: argparse.Namespace) -> int:
     import random
     from fractions import Fraction
 
-    from .modmath import primes_in, sqrt_minus_one
+    from .modmath import iter_primes, sqrt_minus_one
     from .rootcount import solution_count
 
     rng = random.Random(args.seed)
-    pool = primes_in(5, 10**5, (4, 1))
+    pool = list(iter_primes(5, 10**5, (4, 1)))
     _log(f"verify counts: seed={args.seed} trials={args.trials} x_max={args.x}")
     failures = 0
     rows = []

@@ -1,7 +1,7 @@
 """Exact integer substrate: primality, prime streams, and roots of -1.
 
 Everything here is deterministic and validated against the 64-bit contract:
-values such as p^k or hi^2+1 must stay below 2^64, and callers get an
+values such as hi^2+1 must stay below 2^64, and callers get an
 OverflowError instead of silent wraparound semantics.
 """
 
@@ -50,26 +50,6 @@ class RootPair:
             raise ValueError(f"root {self.b} outside (0, {self.p}/2)")
         if (self.b * self.b + 1) % self.p:
             raise ValueError(f"{self.b}^2 + 1 is not divisible by {self.p}")
-
-
-@dataclass(frozen=True, slots=True)
-class PrimePowerRoot:
-    """A root r of r^2 = -1 modulo m = p^k, normalized to (0, m/2)."""
-
-    p: int
-    k: int
-    m: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.m != self.p**self.k:
-            raise ValueError(f"modulus {self.m} is not {self.p}^{self.k}")
-        if self.m > U64_MAX:
-            raise OverflowError(f"{self.p}^{self.k} does not fit in 64 bits")
-        if not 0 < 2 * self.r < self.m:
-            raise ValueError(f"root {self.r} outside (0, {self.m}/2)")
-        if (self.r * self.r + 1) % self.m:
-            raise ValueError(f"{self.r}^2 + 1 is not divisible by {self.m}")
 
 
 def is_prime(n: int) -> bool:
@@ -172,16 +152,6 @@ def iter_primes(
         yield from itertools.compress(range(n0, n0 + q * len(flags), q), flags)
 
 
-def primes_in(
-    lo: int,
-    hi: int,
-    residue_filter: Optional[Tuple[int, int]] = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> list[int]:
-    """List form of iter_primes."""
-    return list(iter_primes(lo, hi, residue_filter, segment_size))
-
-
 @lru_cache(maxsize=1 << 20)
 def _root_for_prime(p: int) -> int:
     """Root of -1 for p already known to be prime and 1 (mod 4).
@@ -217,27 +187,6 @@ def sqrt_minus_one(p: int) -> RootPair:
     if not is_prime(p):
         raise ValueError(f"p={p} is composite")
     return RootPair(p=p, b=_root_for_prime(p))
-
-
-def hensel_lift(root: RootPair, k: int) -> PrimePowerRoot:
-    """Lift a root of -1 mod p to the unique class mod p^k, normalized.
-
-    Linear Newton steps: the derivative 2r is invertible mod p because p is
-    odd, so each step is exact and the lift is unique up to sign.
-    """
-    if k < 1:
-        raise ValueError("exponent k must be >= 1")
-    p = root.p
-    m = p**k
-    if m > U64_MAX:
-        raise OverflowError(f"{p}^{k} does not fit in 64 bits")
-    r = root.b
-    pj = p
-    for _ in range(k - 1):
-        step = (-((r * r + 1) // pj) * pow(2 * r, -1, p)) % p
-        r += step * pj
-        pj *= p
-    return PrimePowerRoot(p=p, k=k, m=m, r=min(r, m - r))
 
 
 _root_table_cache: Optional[Tuple[int, "numpy.ndarray"]] = None

@@ -18,10 +18,8 @@ p^e at every hit leaves.
 The pass returns FactorColumns, a CSR layout: counts[i] factors for
 n = lo + i, stored flat in primes/exponents in ascending order (2 first for
 odd n, then the sieved primes, then the residual prime), and largest[i],
-the last of them.  The interval reductions, the records scan and the
-CLI's sieve and records output read the columns; FactorizationRecord
-objects are built from them only at the sieve_segment/iter_records
-library boundary.
+the last of them.  Every consumer reads the columns: the interval
+reductions, the records scan and the CLI's sieve and records output.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Tuple
 
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
 
@@ -37,19 +35,6 @@ if TYPE_CHECKING:
     import numpy
 _RESIDUAL_SPOT_CHECK_STRIDE = 4093  # sampled primality audit of residuals
 _HIT_TEST_ROWS = 1 << 18
-
-
-@dataclass(frozen=True, slots=True)
-class FactorizationRecord:
-    """n, the complete factorization of n^2+1 ascending, and its top prime."""
-
-    n: int
-    factors: Tuple[Tuple[int, int], ...]
-    largest_prime: int
-
-    @property
-    def value(self) -> int:
-        return self.n * self.n + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,15 +60,6 @@ class FactorColumns:
 
         ns = np.arange(self.lo, self.lo + len(self.largest), dtype=np.int64)
         return (_logs(self.largest) / _logs(ns)).tolist()
-
-    def records(self) -> list[FactorizationRecord]:
-        pairs = zip(self.primes.tolist(), self.exponents.tolist())
-        return [
-            FactorizationRecord(n=n, factors=tuple(itertools.islice(pairs, c)), largest_prime=top)
-            for n, c, top in zip(
-                itertools.count(self.lo), self.counts.tolist(), self.largest.tolist()
-            )
-        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,11 +164,6 @@ def sieve_columns(lo: int, hi: int) -> FactorColumns:
     )
 
 
-def sieve_segment(lo: int, hi: int) -> list[FactorizationRecord]:
-    """Factor n^2 + 1 for every n in [lo, hi]."""
-    return sieve_columns(lo, hi).records()
-
-
 def iter_columns(
     lo: int,
     hi: int,
@@ -243,17 +214,6 @@ def iter_columns(
         finally:
             for future in pending:
                 future.cancel()
-
-
-def iter_records(
-    lo: int,
-    hi: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> Iterator[FactorizationRecord]:
-    """Stream records for [lo, hi] in ascending n, built from iter_columns."""
-    for columns in iter_columns(lo, hi, segment_size, workers):
-        yield from columns.records()
 
 
 # --- interval-level reductions ----------------------------------------------
@@ -321,29 +281,3 @@ def divisor_incidence(
         np.concatenate(keys), return_index=True, return_counts=True
     )
     return uniq, counts, np.concatenate(bases)[first]
-
-
-def incidence_counts(
-    x: int,
-    y_cutoff: int,
-    count_prime_powers: bool = False,
-    columns: Optional[Iterable[FactorColumns]] = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> Dict[int, int]:
-    """Map p (or p^k) <= y_cutoff to the number of n in (x, 2x] it divides.
-
-    Plain prime keys count each n once regardless of multiplicity; with
-    count_prime_powers every power p^k <= y_cutoff dividing n^2+1 gets its
-    own key, which is exactly the index set weighted by the von Mangoldt
-    function.  Precomputed factor columns of (x, 2x] can be passed to avoid
-    re-sieving.  Keys come in ascending order.
-    """
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if x > HI_MAX // 2:
-        raise OverflowError(f"x={x} above 2^30: 2x exceeds the sieve bound")
-    if columns is None:
-        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
-    keys, counts, _ = divisor_incidence(columns, y_cutoff, count_prime_powers)
-    return dict(zip(keys.tolist(), counts.tolist()))

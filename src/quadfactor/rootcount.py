@@ -39,7 +39,8 @@ def count_root_classes(x: int, m: int, r: int) -> int:
     """Count of n in (x, 2x] with n = r or n = -r (mod m), r in (0, m/2).
 
     The two classes are disjoint because 0 < 2r < m, so the counts add.
-    Used with m = p for plain roots and m = p^k for lifted ones.
+    count_exact uses it with m = p; the tests also call it with m = p^k and
+    a Hensel-lifted root to count prime-power incidences.
     """
     if not 0 < 2 * r < m:
         raise ValueError(f"root {r} outside (0, {m}/2)")

@@ -1,8 +1,8 @@
 import pytest
 
-from quadfactor.modmath import primes_in
+from quadfactor.modmath import iter_primes
 
 
 @pytest.fixture(scope="session")
 def primes_1mod4_1e5() -> list[int]:
-    return primes_in(5, 10**5, (4, 1))
+    return list(iter_primes(5, 10**5, (4, 1)))

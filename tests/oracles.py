@@ -2,21 +2,90 @@
 
 Everything here is deliberately written without touching the package code
 paths it checks: one-shot (non-segmented) sieving, per-n interval scans,
-plain trial division, and a single-value factorer of n^2 + 1 that shares
-only the primality test and the record type with the package.
+plain trial division, Hensel lifts of the roots of -1 to prime powers, and
+a single-value factorer of n^2 + 1 that shares only the primality test with
+the package.  The per-n record type lives here too: the factorer returns a
+FactorizationRecord, and records_of builds the same records from the
+package's factor columns, so the two compare per n.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 from quadfactor.chebsums import power_cutoff
-from quadfactor.modmath import HI_MAX, is_prime
-from quadfactor.polysieve import FactorizationRecord
+from quadfactor.modmath import HI_MAX, U64_MAX, RootPair, is_prime
+from quadfactor.polysieve import FactorColumns
 
 _TRIAL_BOUND = 10**6
+
+
+@dataclass(frozen=True, slots=True)
+class FactorizationRecord:
+    """n, the complete factorization of n^2+1 ascending, and its top prime."""
+
+    n: int
+    factors: tuple[tuple[int, int], ...]
+    largest_prime: int
+
+    @property
+    def value(self) -> int:
+        return self.n * self.n + 1
+
+
+def records_of(columns: FactorColumns) -> list[FactorizationRecord]:
+    """The records of n = columns.lo, columns.lo + 1, ..., one per n."""
+    pairs = zip(columns.primes.tolist(), columns.exponents.tolist())
+    return [
+        FactorizationRecord(n=n, factors=tuple(itertools.islice(pairs, c)), largest_prime=top)
+        for n, c, top in zip(
+            itertools.count(columns.lo), columns.counts.tolist(), columns.largest.tolist()
+        )
+    ]
+
+
+@dataclass(frozen=True, slots=True)
+class PrimePowerRoot:
+    """A root r of r^2 = -1 modulo m = p^k, normalized to (0, m/2)."""
+
+    p: int
+    k: int
+    m: int
+    r: int
+
+    def __post_init__(self) -> None:
+        if self.k < 1 or self.m != self.p**self.k:
+            raise ValueError(f"modulus {self.m} is not {self.p}^{self.k}")
+        if self.m > U64_MAX:
+            raise OverflowError(f"{self.p}^{self.k} does not fit in 64 bits")
+        if not 0 < 2 * self.r < self.m:
+            raise ValueError(f"root {self.r} outside (0, {self.m}/2)")
+        if (self.r * self.r + 1) % self.m:
+            raise ValueError(f"{self.r}^2 + 1 is not divisible by {self.m}")
+
+
+def hensel_lift(root: RootPair, k: int) -> PrimePowerRoot:
+    """Lift a root of -1 mod p to the unique class mod p^k, normalized.
+
+    Linear Newton steps: the derivative 2r is invertible mod p because p is
+    odd, so each step is exact and the lift is unique up to sign.
+    """
+    if k < 1:
+        raise ValueError("exponent k must be >= 1")
+    p = root.p
+    m = p**k
+    if m > U64_MAX:
+        raise OverflowError(f"{p}^{k} does not fit in 64 bits")
+    r = root.b
+    pj = p
+    for _ in range(k - 1):
+        step = (-((r * r + 1) // pj) * pow(2 * r, -1, p)) % p
+        r += step * pj
+        pj *= p
+    return PrimePowerRoot(p=p, k=k, m=m, r=min(r, m - r))
 
 
 def sieve_flags(limit: int) -> bytearray:

@@ -12,19 +12,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from quadfactor.chebsums import mertens_ap, power_cutoff
+from quadfactor.chebsums import mertens_prefixes, power_cutoff
 from quadfactor.cli import main
-from quadfactor.modmath import primes_in, sqrt_minus_one
-from quadfactor.polysieve import (
-    incidence_counts,
-    records_scan,
-    sieve_columns,
-    sieve_segment,
-)
+from quadfactor.modmath import iter_primes, sqrt_minus_one
+from quadfactor.polysieve import divisor_incidence, records_scan, sieve_columns
 from quadfactor.rootcount import count_by_floor_identity, count_exact, count_upper_bound
 from quadfactor.verifier import contradiction_probe, coverage_curve, lambda_identity_check
 
-from oracles import factorize_value, trial_division_factor
+from oracles import factorize_value, records_of, trial_division_factor
 
 
 class _Criterion:
@@ -53,7 +48,7 @@ def test_criterion_1_count_identity_and_bound():
     crit = _Criterion("criterion-1 count identity + rational bound, 1000 pairs", 10.0)
     try:
         rng = random.Random(20260810)
-        pool = primes_in(5, 10**5, (4, 1))
+        pool = list(iter_primes(5, 10**5, (4, 1)))
         for _ in range(1000):
             p = pool[rng.randrange(len(pool))]
             x = rng.randint(1, 10**6)
@@ -76,7 +71,7 @@ def test_criterion_2_factor_sieve_oracle_equivalence():
     # factors up to ~3e7 does not fit the budget.
     crit = _Criterion("criterion-2 factor sieve vs oracle + reconstruction", 60.0)
     try:
-        records = sieve_segment(2, 10**4)
+        records = records_of(sieve_columns(2, 10**4))
         for rec in records:
             assert rec.factors == tuple(trial_division_factor(rec.value)), rec.n
         rng = random.Random(987654321)
@@ -84,7 +79,7 @@ def test_criterion_2_factor_sieve_oracle_equivalence():
             n = rng.randrange(2, 10**8 + 1)
             got = factorize_value(n)
             assert got.factors == tuple(sorted(sympy.factorint(n * n + 1).items())), n
-        full = sieve_segment(10**6, 11 * 10**5)
+        full = records_of(sieve_columns(10**6, 11 * 10**5))
         for rec in full:
             assert math.prod(p**e for p, e in rec.factors) == rec.value, rec.n
     except BaseException:
@@ -112,7 +107,7 @@ def test_criterion_4_mertens_residual_convergence():
     crit = _Criterion("criterion-4 progression Mertens residual convergence", 60.0)
     try:
         residuals = [
-            mertens_ap(z, 4, 1) - 0.5 * math.log(z) for z in (10**5, 10**6, 10**7)
+            mertens_prefixes([z], 4, 1)[0] - 0.5 * math.log(z) for z in (10**5, 10**6, 10**7)
         ]
         steps = [abs(residuals[i + 1] - residuals[i]) for i in range(2)]
         assert all(step < 0.1 for step in steps), residuals
@@ -131,8 +126,9 @@ def test_criterion_5_summandwise_bound():
         for delta, led in zip(deltas, contradiction_probe(x, deltas, columns=columns)):
             assert led.n_trunc <= led.R + led.S, delta
             cutoff = power_cutoff(x, delta)
-            counts = incidence_counts(x, cutoff, columns=columns)
-            for p in primes_in(5, cutoff, (4, 1)):
+            keys, counts, _ = divisor_incidence(columns, cutoff, False)
+            counts = dict(zip(keys.tolist(), counts.tolist()))
+            for p in iter_primes(5, cutoff, (4, 1)):
                 bound = count_upper_bound(x, sqrt_minus_one(p))
                 assert Fraction(counts.get(p, 0)) <= bound, (delta, p)
     except BaseException:

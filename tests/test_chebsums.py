@@ -11,13 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadfactor import chebsums
-from quadfactor.chebsums import (
-    mertens_ap,
-    mertens_prefixes,
-    power_cutoff,
-    sum_ledger,
-)
-from quadfactor.modmath import iter_root_rows, primes_in, sqrt_minus_one
+from quadfactor.chebsums import mertens_prefixes, power_cutoff, sum_ledger
+from quadfactor.modmath import iter_primes, iter_root_rows, sqrt_minus_one
 
 from oracles import pi_counting, sieve_flags, tail_bound_chain, totient
 
@@ -58,16 +53,16 @@ def test_mertens_small_values():
     # direct 11-term oracle
     terms = [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
     oracle = math.fsum(log(p) / p for p in terms)
-    value = mertens_ap(100, 4, 1)
+    value = mertens_prefixes([100], 4, 1)[0]
     assert value == pytest.approx(oracle, rel=1e-14)
     assert value == pytest.approx(1.2888, abs=5e-5)
-    assert mertens_ap(2, 4, 1) == 0.0
+    assert mertens_prefixes([2], 4, 1) == [0.0]
     with pytest.raises(ValueError):
-        mertens_ap(10, 4, 2)
+        mertens_prefixes([10], 4, 2)
 
 
 def test_mertens_monotone_and_residual_band():
-    values = [mertens_ap(z, 4, 1) for z in (10, 100, 10**3, 10**4, 10**5, 10**6)]
+    values = [mertens_prefixes([z], 4, 1)[0] for z in (10, 100, 10**3, 10**4, 10**5, 10**6)]
     assert values == sorted(values)
     residual = values[-1] - 0.5 * log(10**6)
     assert abs(residual) < 2 * log(log(10**6))
@@ -84,6 +79,28 @@ def test_power_cutoff_guard_band():
     with pytest.raises(ValueError):
         power_cutoff(10, -0.1)
     assert power_cutoff(10**6, 1.0, limit=None) == 10**12
+
+
+def _floor_root(n, k):
+    """floor(n^(1/k)) in integers, by bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.xfail(strict=True, reason="1.0 + delta is rounded before pow (ROADMAP.md item 4)")
+@pytest.mark.parametrize("x", [243, 1024, 3125])
+def test_power_cutoff_keeps_integer_boundaries(x):
+    # delta = 0.2 = 1/5, so the cutoff is floor(x^(6/5)) = floor((x^6)^(1/5));
+    # here x^(6/5) is the integer 3^6, 2^12 or 5^6
+    exact = _floor_root(x**6, 5)
+    assert exact**5 == x**6
+    assert power_cutoff(x, 0.2) == exact
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
@@ -109,7 +126,7 @@ def test_primary_term_is_shared_path_with_mertens():
     # R and the term count against independent single-cutoff prime passes
     for x, deltas in ((10**3, [0.0, 0.4]), (10**5, [0.2]), (57, [0.7, 0.0, 0.7])):
         for led in sum_ledger(x, deltas):
-            assert led.R == 2.0 * x * mertens_ap(led.cutoff, 4, 1)  # bit-for-bit
+            assert led.R == 2.0 * x * mertens_prefixes([led.cutoff], 4, 1)[0]  # bit-for-bit
             assert led.term_count == pi_counting(led.cutoff, 4, 1)
 
 
@@ -138,7 +155,7 @@ def test_secondary_term_empty_below_first_prime():
 def test_secondary_term_summands_bounded():
     x = 50
     summands = []
-    for p in primes_in(5, power_cutoff(x, 0.3), (4, 1)):
+    for p in iter_primes(5, power_cutoff(x, 0.3), (4, 1)):
         b = sqrt_minus_one(p).b
         summand = ((x - b) % p / p + (x + b) % p / p) * log(p)
         assert 0 <= summand < 2 * log(p)
@@ -236,7 +253,7 @@ def test_mertens_prefixes_match_direct_passes():
     cutoffs = [1000, 2, 1, 50000, 1000, 99991]
     for q, a in ((4, 1), (3, 2), (12, 7), (1, 0)):
         direct = [
-            math.fsum(log(p) / p for p in (primes_in(2, z, (q, a)) if z >= 2 else []))
+            math.fsum(log(p) / p for p in (iter_primes(2, z, (q, a)) if z >= 2 else []))
             for z in cutoffs
         ]
         assert mertens_prefixes(cutoffs, q, a) == direct

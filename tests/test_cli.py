@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 import quadfactor
 from quadfactor import cli
 from quadfactor.cli import main
-from quadfactor.polysieve import sieve_segment
+from quadfactor.polysieve import sieve_columns
+
+from oracles import records_of
 
 SRC = str(Path(quadfactor.__file__).resolve().parents[1])
 
@@ -352,9 +354,9 @@ def test_startup_does_not_import_numpy():
     code = (
         "import os, sys\n"
         "from quadfactor.cli import main\n"
-        "from quadfactor.modmath import primes_in\n"
+        "from quadfactor.modmath import iter_primes\n"
         "assert main(['verify', 'counts', '--trials', '5', '-o', os.devnull]) == 0\n"
-        "assert primes_in(2, 10**6, (8, 3))[:2] == [3, 11]\n"
+        "assert list(iter_primes(2, 10**6, (8, 3)))[:2] == [3, 11]\n"
         "print('numpy' in sys.modules)\n"
     )
     run = _fresh_python("-c", code)
@@ -385,15 +387,9 @@ def test_refused_requests_do_not_import_numpy():
 
 # the package's exports and their defining modules
 EXPORTS = {
-    "chebsums": ("SumLedger", "mertens_ap", "mertens_prefixes", "power_cutoff", "sum_ledger"),
-    "modmath": (
-        "PrimePowerRoot", "RootPair", "hensel_lift", "is_prime", "iter_primes", "primes_in",
-        "sqrt_minus_one",
-    ),
-    "polysieve": (
-        "FactorColumns", "FactorizationRecord", "RecordBlock", "incidence_counts",
-        "iter_columns", "iter_records", "records_scan", "sieve_columns", "sieve_segment",
-    ),
+    "chebsums": ("SumLedger", "mertens_prefixes", "power_cutoff", "sum_ledger"),
+    "modmath": ("RootPair", "is_prime", "iter_primes", "sqrt_minus_one"),
+    "polysieve": ("FactorColumns", "RecordBlock", "iter_columns", "records_scan", "sieve_columns"),
     "rootcount": (
         "SolutionCount", "count_by_floor_identity", "count_exact", "count_in_class",
         "count_root_classes", "count_upper_bound", "solution_count",
@@ -490,7 +486,7 @@ def no_prime_work(monkeypatch):
         raise RuntimeError("prime work started")
 
     names = (
-        "iter_columns", "iter_records", "iter_primes", "_class_sieve", "root_table",
+        "iter_columns", "iter_primes", "_class_sieve", "root_table",
         "iter_root_rows", "_build_root_table",
     )
     for mod in (quadfactor.modmath, quadfactor.polysieve, quadfactor.chebsums,
@@ -558,7 +554,7 @@ def _reference_text(fmt, header, rows):
 def _reference_records(n_max):
     # the per-row running-maximum scan, over one unsegmented sieve
     best, rows = 0, []
-    for rec in sieve_segment(2, n_max):
+    for rec in records_of(sieve_columns(2, n_max)):
         p = rec.largest_prime
         rows.append((rec.n, p, math.log(p) / math.log(rec.n), p > best))
         best = max(best, p)
@@ -574,7 +570,7 @@ def _reference_sieve(lo, hi):
             rec.largest_prime,
             math.log(rec.largest_prime) / math.log(rec.n),
         )
-        for rec in sieve_segment(lo, hi)
+        for rec in records_of(sieve_columns(lo, hi))
     ]
 
 

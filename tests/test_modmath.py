@@ -10,19 +10,22 @@ from quadfactor import modmath
 from quadfactor.modmath import (
     DEFAULT_SEGMENT_SIZE,
     HI_MAX,
-    PrimePowerRoot,
     RootPair,
     _build_root_table,
     _root_for_prime,
-    hensel_lift,
     is_prime,
     iter_primes,
-    primes_in,
     root_table,
     sqrt_minus_one,
 )
 
-from oracles import roots_of_minus_one, sieve_flags, smallest_factor_upto
+from oracles import (
+    PrimePowerRoot,
+    hensel_lift,
+    roots_of_minus_one,
+    sieve_flags,
+    smallest_factor_upto,
+)
 
 
 def test_is_prime_trivial_cases():
@@ -52,40 +55,40 @@ def test_is_prime_matches_sieve_up_to_1e6():
 
 
 def test_primes_in_examples():
-    assert primes_in(1, 30, (4, 1)) == [5, 13, 17, 29]
-    eleven = primes_in(1, 100, (4, 1))
+    assert list(iter_primes(1, 30, (4, 1))) == [5, 13, 17, 29]
+    eleven = list(iter_primes(1, 100, (4, 1)))
     assert len(eleven) == 11 and eleven[-1] == 97
-    assert primes_in(90, 96) == []
+    assert list(iter_primes(90, 96)) == []
     for lo in (-10, 0, 1):
-        assert primes_in(lo, 1) == []
-        assert primes_in(lo, 1, (8, -5)) == []
-    assert primes_in(-10, -3, (3, 2)) == []
+        assert list(iter_primes(lo, 1)) == []
+        assert list(iter_primes(lo, 1, (8, -5))) == []
+    assert list(iter_primes(-10, -3, (3, 2))) == []
 
 
 def test_primes_in_residue_enumeration_oracle():
     flags = sieve_flags(100)
     expected = [n for n in range(2, 101) if flags[n] and n % 4 == 1]
-    assert primes_in(1, 100, (4, 1)) == expected
+    assert list(iter_primes(1, 100, (4, 1))) == expected
 
 
 def test_primes_in_rejects_bad_residue():
     with pytest.raises(ValueError):
-        primes_in(1, 100, (4, 2))
+        list(iter_primes(1, 100, (4, 2)))
     for lo, hi in ((10, 5), (1, 0), (-1, -2)):
         with pytest.raises(ValueError):
-            primes_in(lo, hi)
+            list(iter_primes(lo, hi))
         with pytest.raises(ValueError):
-            primes_in(lo, hi, (8, 3))
+            list(iter_primes(lo, hi, (8, 3)))
     with pytest.raises(ValueError):
-        primes_in(2, 10, segment_size=0)
+        list(iter_primes(2, 10, segment_size=0))
 
 
 def test_primes_in_segment_size_independent():
-    full = primes_in(2, 10**5)
+    full = list(iter_primes(2, 10**5))
     assert full == simple_oracle_primes()
     for size in (64, 997, 10**5 + 7):
-        assert primes_in(2, 10**5, segment_size=size) == full
-    assert primes_in(3000, 50000, (4, 1), segment_size=128) == [
+        assert list(iter_primes(2, 10**5, segment_size=size)) == full
+    assert list(iter_primes(3000, 50000, (4, 1), segment_size=128)) == [
         p for p in full if 3000 <= p <= 50000 and p % 4 == 1
     ]
 
@@ -111,17 +114,17 @@ def test_primes_in_class_sieve_matches_filtered_oracle(data):
     hi = data.draw(st.integers(lo, min(lo + span, _CLASS_TOP)), label="hi")
     flags = _class_oracle_flags()
     expected = [n for n in range(max(lo, 0), hi + 1) if flags[n] and n % q == a % q]
-    assert primes_in(lo, hi, (q, a), segment_size=size) == expected
+    assert list(iter_primes(lo, hi, (q, a), segment_size=size)) == expected
 
 
 def test_primes_in_keeps_a_prime_residue():
     # the residue is itself a base prime of the range, which must not strike it
     for size in (1, 7, DEFAULT_SEGMENT_SIZE):
-        assert primes_in(2, 100, (8, 3), segment_size=size)[:3] == [3, 11, 19]
-        assert primes_in(3, 3, (8, 3), segment_size=size) == [3]
-        assert primes_in(2, 100, (10, 7), segment_size=size)[:3] == [7, 17, 37]
-        assert primes_in(7, 7, (10, 7), segment_size=size) == [7]
-        assert primes_in(2, 2, (1, 0), segment_size=size) == [2]
+        assert list(iter_primes(2, 100, (8, 3), segment_size=size))[:3] == [3, 11, 19]
+        assert list(iter_primes(3, 3, (8, 3), segment_size=size)) == [3]
+        assert list(iter_primes(2, 100, (10, 7), segment_size=size))[:3] == [7, 17, 37]
+        assert list(iter_primes(7, 7, (10, 7), segment_size=size)) == [7]
+        assert list(iter_primes(2, 2, (1, 0), segment_size=size)) == [2]
 
 
 def simple_oracle_primes():
@@ -154,7 +157,7 @@ def test_sqrt_minus_one_invariant_up_to_1e6():
 def test_no_roots_for_3_mod_4_primes():
     # roots come in pairs {r, p-r}, so scanning n <= (p-1)/2 is exhaustive
     rng = random.Random(41)
-    pool = primes_in(3, 10**6, (4, 3))
+    pool = list(iter_primes(3, 10**6, (4, 3)))
     for p in rng.sample(pool, 100):
         assert all((n * n + 1) % p for n in range(1, (p + 1) // 2 + 1)), p
 
@@ -191,7 +194,7 @@ def test_hensel_lift_brute_force_small_powers():
 
 def test_hensel_lift_tower_consistency():
     rng = random.Random(1009)
-    pool = primes_in(5, 2000, (4, 1))
+    pool = list(iter_primes(5, 2000, (4, 1)))
     for p in rng.sample(pool, 25):
         root = sqrt_minus_one(p)
         k = 2
@@ -211,7 +214,7 @@ def test_hensel_lift_overflow():
 
 
 def test_root_table_matches_scalar_roots_up_to_1e6():
-    expected = [[p, _root_for_prime(p)] for p in primes_in(5, 10**6, (4, 1))]
+    expected = [[p, _root_for_prime(p)] for p in iter_primes(5, 10**6, (4, 1))]
     # the default chunk covers 10^6 at once; the others cut it in many places
     for chunk in (modmath._TABLE_CHUNK, 4097, 1000):
         table = _build_root_table(10**6, chunk)
@@ -222,10 +225,11 @@ def test_root_table_matches_scalar_roots_up_to_1e6():
 def test_root_table_small_bounds_and_prefixes():
     for hi in range(0, 300):
         table = _build_root_table(hi, chunk=7)
-        assert table[:, 0].tolist() == primes_in(2, max(hi, 2), (4, 1)), hi
+        assert table[:, 0].tolist() == list(iter_primes(2, max(hi, 2), (4, 1))), hi
     full = root_table(5000)
     for hi in (1, 5, 12, 13, 4999, 5000):
-        assert root_table(hi).tolist() == full[: len(primes_in(2, max(hi, 2), (4, 1)))].tolist()
+        count = len(list(iter_primes(2, max(hi, 2), (4, 1))))
+        assert root_table(hi).tolist() == full[:count].tolist()
 
 
 def test_root_table_audit_rejects_a_bad_root(monkeypatch):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import multiprocessing
 import random
@@ -11,22 +12,26 @@ from hypothesis import given, settings, strategies as st
 
 from quadfactor import modmath, polysieve
 from quadfactor.cli import main
-from quadfactor.modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, primes_in
+from quadfactor.modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, iter_primes
 from quadfactor.polysieve import (
     FactorColumns,
-    FactorizationRecord,
-    incidence_counts,
+    divisor_incidence,
     iter_columns,
-    iter_records,
     records_scan,
     sieve_columns,
-    sieve_segment,
 )
 from quadfactor.verifier import coverage_curve, lambda_identity_check, largest_prime_probe
 from quadfactor.rootcount import count_exact
 from quadfactor.modmath import sqrt_minus_one
 
-from oracles import factorize_value, largest_prime_factor, trial_division_factor
+from oracles import (
+    FactorizationRecord,
+    factorize_value,
+    hensel_lift,
+    largest_prime_factor,
+    records_of,
+    trial_division_factor,
+)
 
 # smallest n >= 1e7 whose n^2+1 has two prime factors above the trial bound;
 # frozen from a sympy scan, exercises the rho fallback deterministically
@@ -34,25 +39,25 @@ RHO_TRIGGER_N = 10000018
 
 
 def test_examples():
-    seg = sieve_segment(100, 100)
+    seg = records_of(sieve_columns(100, 100))
     assert seg[0].factors == ((73, 1), (137, 1))
     assert seg[0].largest_prime == 137
-    seg = sieve_segment(239, 239)
+    seg = records_of(sieve_columns(239, 239))
     assert seg[0].factors == ((2, 1), (13, 4))
     assert seg[0].largest_prime == 13
-    seg = sieve_segment(1, 1)
+    seg = records_of(sieve_columns(1, 1))
     assert seg[0].factors == ((2, 1),)
     assert seg[0].largest_prime == 2
 
 
 def test_against_trial_division_exhaustive():
-    records = sieve_segment(2, 2000)
+    records = records_of(sieve_columns(2, 2000))
     for rec in records:
         assert rec.factors == tuple(trial_division_factor(rec.n**2 + 1)), rec.n
 
 
 def test_product_reconstruction_and_factor_classes():
-    for rec in sieve_segment(3000, 3500):
+    for rec in records_of(sieve_columns(3000, 3500)):
         assert math.prod(p**e for p, e in rec.factors) == rec.value
         for p, e in rec.factors:
             assert p == 2 or p % 4 == 1
@@ -62,13 +67,13 @@ def test_product_reconstruction_and_factor_classes():
 
 
 def test_even_n_has_no_factor_2():
-    for rec in sieve_segment(10, 20):
+    for rec in records_of(sieve_columns(10, 20)):
         has_two = any(p == 2 for p, _ in rec.factors)
         assert has_two == (rec.n % 2 == 1)
 
 
 def test_residuals_are_prime():
-    for rec in sieve_segment(5000, 5300):
+    for rec in records_of(sieve_columns(5000, 5300)):
         big = [p for p, _ in rec.factors if p > 5300]
         assert len(big) <= 1
         for p in big:
@@ -76,18 +81,18 @@ def test_residuals_are_prime():
 
 
 def test_segment_concatenation_identical():
-    whole = sieve_segment(50, 350)
-    parts = sieve_segment(50, 199) + sieve_segment(200, 350)
+    whole = records_of(sieve_columns(50, 350))
+    parts = records_of(sieve_columns(50, 199)) + records_of(sieve_columns(200, 350))
     assert whole == parts
-    streamed = list(iter_records(50, 350, segment_size=37))
+    streamed = [rec for cols in iter_columns(50, 350, segment_size=37) for rec in records_of(cols)]
     assert streamed == whole
 
 
 def test_sieve_segment_validation(monkeypatch):
     with pytest.raises(ValueError):
-        sieve_segment(0, 10)
+        sieve_columns(0, 10)
     with pytest.raises(ValueError):
-        sieve_segment(10, 5)
+        sieve_columns(10, 5)
 
     def no_work(*args, **kwargs):
         raise RuntimeError("table work started")
@@ -96,9 +101,9 @@ def test_sieve_segment_validation(monkeypatch):
     monkeypatch.setattr(modmath, "_build_root_table", no_work)
     monkeypatch.setattr(modmath, "_root_table_cache", None)
     with pytest.raises(OverflowError):
-        sieve_segment(2, 2**31 + 1)
+        sieve_columns(2, 2**31 + 1)
     with pytest.raises(OverflowError):
-        next(iter_records(2**31 - 10, 2**31 + 1, segment_size=4))
+        next(iter_columns(2**31 - 10, 2**31 + 1, segment_size=4))
 
 
 def _sympy_factors(n):
@@ -114,7 +119,7 @@ def test_sieve_segment_random_windows_against_sympy():
         windows.append((lo, lo + width - 1))
     # widest bound first, so one root table serves every window
     for lo, hi in sorted(windows, key=lambda w: -w[1]):
-        for rec in sieve_segment(lo, hi):
+        for rec in records_of(sieve_columns(lo, hi)):
             assert rec.factors == _sympy_factors(rec.n), rec.n
 
 
@@ -128,7 +133,7 @@ def test_sieve_segment_widths_around_a_prime(p, base):
     for c in (b, p - b):
         lo = base + (c - base) % p
         for width in (p - 1, p, p + 1):
-            records = sieve_segment(lo, lo + width - 1)
+            records = records_of(sieve_columns(lo, lo + width - 1))
             assert (lo * lo + 1) % p == 0
             for rec in records:
                 assert rec.factors == _sympy_factors(rec.n), (p, width, rec.n)
@@ -136,7 +141,7 @@ def test_sieve_segment_widths_around_a_prime(p, base):
 
 def test_sieve_segment_two_primes_above_the_width():
     n = 20000004  # n^2+1 = 53 * 5653 * 27529 * 48497
-    records = sieve_segment(n - 500, n + 499)
+    records = records_of(sieve_columns(n - 500, n + 499))
     rec = records[500]
     assert rec.n == n
     assert rec.factors == ((53, 1), (5653, 1), (27529, 1), (48497, 1))
@@ -155,7 +160,7 @@ def test_factorize_value_examples():
 
 
 def test_factorize_value_matches_segment_path():
-    records = sieve_segment(2, 500)
+    records = records_of(sieve_columns(2, 500))
     for rec in records:
         assert factorize_value(rec.n) == rec
 
@@ -232,15 +237,17 @@ def test_records_scan_ties_are_not_records(monkeypatch):
 
 def test_incidence_matches_rootcount():
     for x in (10, 100, 1000):
-        counts = incidence_counts(x, 2 * x)
-        for p in primes_in(5, 2 * x, (4, 1)):
+        keys, counts, _ = divisor_incidence(iter_columns(x + 1, 2 * x), 2 * x, False)
+        counts = dict(zip(keys.tolist(), counts.tolist()))
+        for p in iter_primes(5, 2 * x, (4, 1)):
             assert counts.get(p, 0) == count_exact(x, sqrt_minus_one(p)), (x, p)
         for p in counts:
             assert p == 2 or p % 4 == 1
 
 
 def test_incidence_example_values():
-    counts = incidence_counts(10, 40)
+    keys, counts, _ = divisor_incidence(iter_columns(11, 20), 40, False)
+    counts = dict(zip(keys.tolist(), counts.tolist()))
     assert counts[5] == 4
     assert counts[13] == 1
     assert 3 not in counts and 7 not in counts and 11 not in counts
@@ -248,8 +255,10 @@ def test_incidence_example_values():
 
 def test_incidence_prime_powers():
     x = 100
-    plain = incidence_counts(x, 4 * x * x + 1, count_prime_powers=False)
-    powered = incidence_counts(x, 4 * x * x + 1, count_prime_powers=True)
+    keys, counts, _ = divisor_incidence(iter_columns(x + 1, 2 * x), 4 * x * x + 1, False)
+    plain = dict(zip(keys.tolist(), counts.tolist()))
+    keys, counts, _ = divisor_incidence(iter_columns(x + 1, 2 * x), 4 * x * x + 1, True)
+    powered = dict(zip(keys.tolist(), counts.tolist()))
     # every power key is consistent with a direct scan
     assert powered[25] == sum(1 for n in range(x + 1, 2 * x + 1) if (n * n + 1) % 25 == 0)
     assert plain[5] == powered[5] >= powered[25]
@@ -259,12 +268,12 @@ def test_incidence_prime_powers():
 def test_incidence_prime_powers_match_lifted_progressions():
     # the sieve strips powers by repeated division; lifted roots count the
     # same incidences through an entirely different route
-    from quadfactor.modmath import hensel_lift
     from quadfactor.rootcount import count_root_classes
 
     x = 200
     top = 4 * x * x + 1
-    powered = incidence_counts(x, top, count_prime_powers=True)
+    keys, counts, _ = divisor_incidence(iter_columns(x + 1, 2 * x), top, True)
+    powered = dict(zip(keys.tolist(), counts.tolist()))
     for p in (5, 13, 17):
         root = sqrt_minus_one(p)
         k = 1
@@ -276,14 +285,16 @@ def test_incidence_prime_powers_match_lifted_progressions():
 
 
 def test_workers_give_identical_stream():
-    seq = list(iter_records(2, 1200, segment_size=100, workers=1))
-    par = list(iter_records(2, 1200, segment_size=100, workers=3))
+    seq, par = (
+        [rec for cols in iter_columns(2, 1200, 100, workers) for rec in records_of(cols)]
+        for workers in (1, 3)
+    )
     assert seq == par
 
 
 def test_pool_worker_returns_plain_columns():
     # a pool worker ships numpy columns, not per-n objects, and the columns
-    # that come back through the pickle rebuild the records of sieve_segment
+    # that come back through the pickle rebuild the records of one sieve pass
     with concurrent.futures.ProcessPoolExecutor(
         1, mp_context=multiprocessing.get_context("fork")
     ) as pool:
@@ -295,9 +306,9 @@ def test_pool_worker_returns_plain_columns():
         assert getattr(columns, name).dtype == dtype, name
     assert len(columns.counts) == len(columns.largest) == 299
     assert len(columns.primes) == len(columns.exponents) == int(columns.counts.sum())
-    assert columns.records() == sieve_segment(2, 300)
-    assert [c.records() for c in iter_columns(2, 300, 50, workers=2)] == [
-        sieve_segment(lo, min(lo + 49, 300)) for lo in range(2, 301, 50)
+    assert records_of(columns) == records_of(sieve_columns(2, 300))
+    assert [records_of(c) for c in iter_columns(2, 300, 50, workers=2)] == [
+        records_of(sieve_columns(lo, min(lo + 49, 300))) for lo in range(2, 301, 50)
     ]
 
 
@@ -312,18 +323,23 @@ def test_iter_records_bounds_segments_in_flight(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     workers, size = 2, 50
     records = []
-    for k, rec in enumerate(iter_records(2, 1201, segment_size=size, workers=workers)):
+    stream = iter_columns(2, 1201, segment_size=size, workers=workers)
+    for k, rec in enumerate(itertools.chain.from_iterable(map(records_of, stream))):
         # segment k // size is being consumed; at most 2 * workers beyond it
         assert len(submitted) <= k // size + 1 + 2 * workers, (k, len(submitted))
         records.append(rec)
     assert len(submitted) == 24
-    assert records == list(iter_records(2, 1201, segment_size=size, workers=1))
+    assert records == [
+        rec for cols in iter_columns(2, 1201, segment_size=size) for rec in records_of(cols)
+    ]
 
 
 def test_sieve_segment_prime_power_above_the_width():
     # 5 > W = 2 is found by the hit test, yet its full power is divided out
-    assert sieve_segment(7, 8)[0] == FactorizationRecord(7, ((2, 1), (5, 2)), 5)
-    assert sieve_segment(57, 58)[0] == FactorizationRecord(57, ((2, 1), (5, 3), (13, 1)), 13)
+    assert records_of(sieve_columns(7, 8))[0] == FactorizationRecord(7, ((2, 1), (5, 2)), 5)
+    assert records_of(sieve_columns(57, 58))[0] == FactorizationRecord(
+        57, ((2, 1), (5, 3), (13, 1)), 13
+    )
 
 
 def _dividing_rows(lo, hi):
@@ -352,13 +368,13 @@ def test_sieve_segment_matches_factorint(window):
     hi = min(lo + width - 1, HI_MAX)
     if hi <= MID_BOUND:
         polysieve.root_table(MID_BOUND)  # one table serves every window
-        records = sieve_segment(lo, hi)
+        records = records_of(sieve_columns(lo, hi))
     else:
         # a table prime that divides no value in the window has no hit, so
         # the rows of the dividing primes give the same columns as the full
         # table near 2^31, whose build would dominate the test
         with mock.patch.object(polysieve, "root_table", lambda bound: _dividing_rows(lo, hi)):
-            records = sieve_segment(lo, hi)
+            records = records_of(sieve_columns(lo, hi))
     assert [rec.n for rec in records] == list(range(lo, hi + 1))
     for rec in records:
         assert rec.factors == _sympy_factors(rec.n), rec.n
@@ -370,7 +386,7 @@ def test_bad_residual_raises_and_exits_2(capsys):
     # start at n = 1100 and 2100, whose residuals lie above the segment bound
     with mock.patch.object(polysieve, "is_prime", lambda n: False):
         with pytest.raises(AssertionError, match="residual 137 at n=100 is not prime"):
-            sieve_segment(100, 100)
+            sieve_columns(100, 100)
         for workers in ("1", "2"):
             argv = ["sieve", "--lo", "1100", "--hi", "3099", "--segment-size", "1000",
                     "--workers", workers]
@@ -397,7 +413,8 @@ def test_probe_keeps_the_first_n_on_ties():
     rng = random.Random(77)
     for _ in range(5):
         x = rng.randrange(2, 5000)
-        best = max(iter_records(x + 1, 2 * x), key=lambda rec: rec.largest_prime)
+        records = [rec for cols in iter_columns(x + 1, 2 * x) for rec in records_of(cols)]
+        best = max(records, key=lambda rec: rec.largest_prime)
         result = largest_prime_probe(x, segment_size=rng.randrange(1, x + 1))
         assert (result.max_prime, result.arg_n) == (best.largest_prime, best.n)
 
@@ -449,13 +466,14 @@ def test_column_reductions_equal_the_record_loops(data):
         label="y_cutoff",
     )
     columns = list(iter_columns(x + 1, 2 * x, size))
-    records = [rec for cols in columns for rec in cols.records()]
-    assert records == sieve_segment(x + 1, 2 * x)
+    records = [rec for cols in columns for rec in records_of(cols)]
+    assert records == records_of(sieve_columns(x + 1, 2 * x))
     for powers in (False, True):
-        got = incidence_counts(x, y_cutoff, powers, columns=columns)
+        keys, counts, _ = divisor_incidence(columns, y_cutoff, powers)
+        assert (keys.dtype, counts.dtype) == (np.uint64, np.int64)
+        got = dict(zip(keys.tolist(), counts.tolist()))
         assert got == _record_incidence(records, y_cutoff, powers)
         assert list(got) == sorted(got)
-        assert all(type(k) is int and type(v) is int for k, v in got.items())
         curve = coverage_curve(x, with_prime_powers=powers, columns=columns)
         assert list(curve.cumulative) == _record_cumulative(records, 4 * x * x + 1, powers)
     terms = [e * math.log(p) for rec in records for p, e in rec.factors]

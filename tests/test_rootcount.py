@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfactor.modmath import primes_in, sqrt_minus_one
+from quadfactor.modmath import iter_primes, sqrt_minus_one
 from quadfactor.rootcount import (
     count_by_floor_identity,
     count_exact,
@@ -17,7 +17,7 @@ from quadfactor.rootcount import (
 
 from oracles import scan_count, scan_count_closed
 
-SMALL_POOL = primes_in(5, 2000, (4, 1))
+SMALL_POOL = list(iter_primes(5, 2000, (4, 1)))
 
 
 def test_examples_x10():

@@ -5,8 +5,8 @@ import pytest
 
 from quadfactor import verifier
 from quadfactor.chebsums import power_cutoff, sum_ledger
-from quadfactor.modmath import hensel_lift, iter_primes, sqrt_minus_one
-from quadfactor.polysieve import incidence_counts, sieve_columns
+from quadfactor.modmath import iter_primes, sqrt_minus_one
+from quadfactor.polysieve import divisor_incidence, sieve_columns
 from quadfactor.rootcount import count_in_class, count_root_classes
 from quadfactor.verifier import (
     contradiction_probe,
@@ -16,7 +16,7 @@ from quadfactor.verifier import (
     largest_prime_probe,
 )
 
-from oracles import trial_division_factor
+from oracles import hensel_lift, trial_division_factor
 
 
 def _key_terms(x, with_prime_powers, top=None):
@@ -179,7 +179,8 @@ def test_contradiction_probe_reads_each_cutoff_off_one_pass():
     columns = [sieve_columns(x + 1, 2 * x)]
     deltas = [0.4, 0.0, 1.0, 0.1, 0.4]
     for led in contradiction_probe(x, deltas, columns=columns):
-        incidence = incidence_counts(x, led.cutoff, columns=columns).items()
+        keys, counts, _ = divisor_incidence(columns, led.cutoff, False)
+        incidence = zip(keys.tolist(), counts.tolist())
         n_trunc = math.fsum(math.log(p) * count for p, count in incidence)
         assert led.n_trunc == n_trunc
         assert led.margin_exact == led.lhs_exact - n_trunc
