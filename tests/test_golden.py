@@ -32,6 +32,9 @@ CASES = {
         "sieve", "--lo", "100000", "--hi", "101000", "--segment-size", "250",
         "--format", "jsonl", "--workers", "1",
     ],
+    "sieve_table_chunks": [
+        "sieve", "--lo", "8000000", "--hi", "8000150", "--segment-size", "50", "--workers", "1",
+    ],
     "sieve_range": ["sieve", "--lo", "5", "--hi", "3", "--workers", "1"],
     "records_csv": ["records", "--n-max", "500", "--workers", "1"],
     "records_jsonl_w2": [
@@ -78,6 +81,12 @@ CASES = {
     "coverage_jsonl": [
         "coverage", "--x", "500", "--tail-tolerance", "0.2", "--format", "jsonl",
         "--workers", "1",
+    ],
+    "coverage_segments_w2": [
+        "coverage", "--x", "3000", "--prime-powers", "--segment-size", "97", "--workers", "2",
+    ],
+    "coverage_segments_jsonl": [
+        "coverage", "--x", "3000", "--segment-size", "97", "--workers", "2", "--format", "jsonl",
     ],
     "coverage_bad_tolerance": [
         "coverage", "--x", "300", "--tail-tolerance", "0", "--workers", "1",
