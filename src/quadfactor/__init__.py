@@ -18,7 +18,7 @@ _EXPORTS = {
     ),
     "verifier": (
         "ChainLedger", "CoverageCurve", "ProbeResult", "contradiction_probe", "coverage_curve",
-        "lambda_identity_check", "lhs_logsum", "largest_prime_probe",
+        "lhs_logsum", "largest_prime_probe",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,9 +8,9 @@ itself, which (q-n)(q+n) = 1 forbids.  So sieving only up to hi is enough,
 and each residual carries multiplicity 1.
 
 The roots come from one table per bound (modmath.root_table).  A segment is
-one numpy pass.  Primes up to the segment width W get one strided range of
-hit positions per root; each prime above W has at most one position per
-root in the segment, and one vectorized test over the table finds those.
+one numpy pass.  One vectorized test over the table, in row chunks, keeps
+each root's first offset (+-b - lo) mod p below the segment width W, and
+each kept offset runs in steps of p to the end (one hit for p > W).
 Exponents are read off the original values n^2 + 1 (below 2^63 for
 hi <= 2^31, so uint64 is exact) and the residuals are what one division by
 p^e at every hit leaves.
@@ -82,37 +82,31 @@ def _root_hits(
 ) -> Tuple["numpy.ndarray", "numpy.ndarray"]:
     """(int64 offsets into the window, uint64 primes) of every hit, p ascending.
 
-    Primes up to the width get one strided range per root, built for all of
-    them at once.  A prime above the width meets each root class at most
-    once in the window, so one vectorized test (c - lo) mod p < width over
-    both roots finds its offsets, and primes that divide no value in the
-    window are skipped.
+    One vectorized test (c - lo) mod p < width over both roots of each row
+    finds the first offset of every root class that meets the window, and
+    primes that divide no value in the window are skipped.  Each kept
+    offset expands to its strided run of (width - 1 - start) // p + 1 hits,
+    one for a prime above the width, in the order (row, root, step).
     """
     import numpy as np
 
-    def root_offsets(rows):
+    offsets, primes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    # in row chunks, so the temporaries stay small for any bound
+    for lo_row in range(0, len(table), _HIT_TEST_ROWS):
+        p, b = table[lo_row : lo_row + _HIT_TEST_ROWS].T
         # (b - lo) mod p and (-b - lo) mod p in uint32: with shift =
         # p - (lo mod p), b + shift and p - b + shift stay under 2p < 2^32
-        p, b = rows.T
         shift = p - lo % p
-        return p, np.column_stack(((b + shift) % p, (p - b + shift) % p))
-
-    split = int(table[:, 0].searchsorted(width, side="right"))
-    p, start = root_offsets(table[:split])
-    p = np.repeat(p.astype(np.int64), 2)  # one start per root
-    start = start.ravel().astype(np.int64)
-    runs = (width - 1 - start) // p + 1
-    begin = np.cumsum(runs) - runs
-    which = np.repeat(np.arange(len(runs)), runs)
-    steps = np.arange(int(runs.sum())) - begin[which]
-    offsets = [start[which] + p[which] * steps]
-    primes = [p[which]]
-    # in row chunks, so the temporaries stay small for any bound
-    for lo_row in range(split, len(table), _HIT_TEST_ROWS):
-        p, both = root_offsets(table[lo_row : lo_row + _HIT_TEST_ROWS])
+        both = np.column_stack(((b + shift) % p, (p - b + shift) % p))
         row, col = (both < width).nonzero()
-        offsets.append(both[row, col].astype(np.int64))
-        primes.append(p[row])
+        start = both[row, col].astype(np.int64)
+        p = p[row].astype(np.int64)
+        runs = (width - 1 - start) // p + 1
+        # hit j of the chunk is start + p * (j - j0), j0 the first j of its run
+        base = start - p * (np.cumsum(runs) - runs)
+        p = np.repeat(p, runs)
+        offsets.append(np.repeat(base, runs) + p * np.arange(len(p)))
+        primes.append(p)
     return np.concatenate(offsets), np.concatenate(primes).astype(np.uint64)
 
 

@@ -3,20 +3,22 @@
 The exact left side sum(log(n^2+1)) over (x, 2x] is reproduced from the
 factor sieve through the von Mangoldt identity, decomposed into a coverage
 curve by prime cutoff, and compared against the primary/secondary terms at
-each delta.  Anything asymptotic is measured and reported, never asserted.
+each delta; each check reads the factor columns once, one segment at a
+time.  Anything asymptotic is measured and reported, never asserted.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 from .chebsums import _ExactSum, power_cutoff, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs
 from .polysieve import FactorColumns, divisor_incidence, iter_columns
+
+if TYPE_CHECKING:
+    import numpy
 
 DELTA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 _LOG_CHUNK = 1 << 16  # values n^2+1 whose logs lhs_logsum holds at a time
@@ -32,29 +34,32 @@ class ChainLedger:
     term included); R + S covers the p = 1 (mod 4) classes through the
     per-prime upper bound, so n_trunc <= R + S is the accumulated form of the
     summand-wise bound.  margin compares R + S against the 2x log x main
-    term; margin_exact is its ground-truth analogue.
+    term; margin_exact is its ground-truth analogue.  lambda_side, the sum
+    of e log p over every factor p^e, is lhs_exact but for log rounding.
     """
 
     x: int
     lhs_exact: float
     lhs_main_term: float
     lambda_side: float
-    delta: Optional[float] = None
-    cutoff: Optional[int] = None
-    n_trunc: Optional[float] = None
-    R: Optional[float] = None
-    S: Optional[float] = None
-    margin: Optional[float] = None
-    margin_exact: Optional[float] = None
+    delta: float
+    cutoff: int
+    n_trunc: float
+    R: float
+    S: float
+    margin: float
+    margin_exact: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CoverageCurve:
     """Cumulative share of sum(log(n^2+1)) explained by divisors up to y.
 
     points holds (y, C, rho) at the delta grid cutoffs y = x^(1+delta) plus
-    the terminal y = 4x^2+1; cumulative holds (d, C(d)) at every divisor key
-    d, ascending.  delta_star is delta_star_at(tail_tolerance).
+    the terminal y = 4x^2+1.  The exact curve is two arrays from the one walk
+    of the columns: every divisor key d ascending in keys (uint64), and C(d)
+    at the same index in covered (float64).  delta_star is
+    delta_star_at(tail_tolerance).  Curves compare by identity.
     """
 
     x: int
@@ -62,7 +67,8 @@ class CoverageCurve:
     tail_tolerance: float
     total: float
     points: Tuple[Tuple[int, float, float], ...]
-    cumulative: Tuple[Tuple[int, float], ...]
+    keys: "numpy.ndarray"
+    covered: "numpy.ndarray"
 
     @property
     def delta_star(self) -> Optional[float]:
@@ -76,10 +82,10 @@ class CoverageCurve:
         _check_tolerance(tail_tolerance)
         threshold = (1.0 - tail_tolerance) * self.total
         # correctly rounded prefix sums of non-negative terms never decrease
-        idx = bisect.bisect_left(self.cumulative, threshold, key=operator.itemgetter(1))
-        if idx == len(self.cumulative):
+        idx = int(self.covered.searchsorted(threshold, side="left"))
+        if idx == len(self.covered):
             return None
-        d = self.cumulative[idx][0]
+        d = int(self.keys[idx])
         return math.log(d) / math.log(self.x) - 1.0 if self.x > 1 else 0.0
 
 
@@ -118,38 +124,12 @@ def lhs_logsum(x: int) -> float:
     return acc.value()
 
 
-def lambda_identity_check(
-    x: int,
-    columns: Optional[Iterable[FactorColumns]] = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> ChainLedger:
-    """Rebuild the log sum from factorizations: each p^e adds e log p.
-
-    The two sides agree exactly in integer arithmetic, and each is an exact
-    sum rounded once; the ledger records the difference left by rounding each
-    log term, which stays at the 1e-9 relative level.
-    """
-    _check_x(x)
-    if columns is None:
-        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
-    acc = _ExactSum()
-    for cols in columns:
-        acc.add(cols.exponents * _logs(cols.primes))
-    return ChainLedger(
-        x=x,
-        lhs_exact=lhs_logsum(x),
-        lhs_main_term=2.0 * x * math.log(x),
-        lambda_side=acc.value(),
-    )
-
-
 def _cumulative(
     columns: Iterable[FactorColumns], top: int, with_prime_powers: bool
-) -> list[Tuple[int, float]]:
-    """(d, C(d)) for every divisor key d <= top, ascending, where C(d) is the
-    exact sum of log p * incidence over the keys up to d, rounded once (a
-    power key p^k weighs log p, not log d).
+) -> Tuple["numpy.ndarray", "numpy.ndarray"]:
+    """(keys, C): every divisor key d <= top, ascending, and C(d) at the same
+    index, the exact sum of log p * incidence over the keys up to d, rounded
+    once (a power key p^k weighs log p, not log d).
 
     Every term is at least log 2 > 1/2, so it is an integer multiple of
     2^-53: its integer part and its fraction in units of 2^-53 (split in
@@ -169,14 +149,15 @@ def _cumulative(
     high += low >> 26
     whole += high >> 27
     fraction = ((high & _HIGH_MASK) << 26) | (low & _LOW_MASK)
-    prefix = whole + np.ldexp(fraction.astype(np.float64), -53)
-    return list(zip(keys.tolist(), prefix.tolist()))
+    return keys, whole + np.ldexp(fraction.astype(np.float64), -53)
 
 
-def _covered(cumulative: Sequence[Tuple[int, float]], y: int) -> float:
-    """C(y): the cumulative value at the last key d <= y, 0.0 below the first."""
-    idx = bisect.bisect_right(cumulative, y, key=operator.itemgetter(0))
-    return cumulative[idx - 1][1] if idx else 0.0
+def _covered(keys: "numpy.ndarray", covered: "numpy.ndarray", y: int) -> float:
+    """C(y): the curve at the last key d <= y, 0.0 below the first."""
+    import numpy as np
+
+    idx = int(keys.searchsorted(np.uint64(y), side="right"))
+    return float(covered[idx - 1]) if idx else 0.0
 
 
 def coverage_curve(
@@ -191,19 +172,19 @@ def coverage_curve(
 
     Primes up to 2x enter through their sieve incidence; larger primes enter
     through each n's residual (several n may share one residual prime, and
-    each occurrence counts).  The curve keeps every cumulative point, so
-    delta_star at any tolerance comes from this one evaluation.
+    each occurrence counts).  The curve keeps every key and its cumulative
+    value, so delta_star at any tolerance comes from this one evaluation.
     """
     _check_x(x)
     _check_tolerance(tail_tolerance)
     top = 4 * x * x + 1
     if columns is None:
         columns = iter_columns(x + 1, 2 * x, segment_size, workers)
-    cumulative = _cumulative(columns, top, with_prime_powers)
+    keys, covered = _cumulative(columns, top, with_prime_powers)
     total = lhs_logsum(x)
     points = []
     for y in [min(power_cutoff(x, delta, limit=None), top) for delta in DELTA_GRID] + [top]:
-        c = _covered(cumulative, y)
+        c = _covered(keys, covered, y)
         points.append((y, c, c / total if total else 0.0))
     return CoverageCurve(
         x=x,
@@ -211,7 +192,8 @@ def coverage_curve(
         tail_tolerance=tail_tolerance,
         total=total,
         points=tuple(points),
-        cumulative=tuple(cumulative),
+        keys=keys,
+        covered=covered,
     )
 
 
@@ -228,9 +210,9 @@ def contradiction_probe(
     Each ledger carries the truncated incidence sum, R and S, the margin
     2x log x - (R+S) whose sign flip across delta is the contradiction
     mechanism, and the ground-truth margin lhs_exact - n_trunc.  Every delta
-    is checked (range, then cutoff) before any work; the factor columns,
-    both sides of the log sum and the incidence cumulative are computed
-    once, and n_trunc at each cutoff is read off that cumulative.
+    is checked (range, then cutoff) before any work.  The columns are read
+    once: each segment adds its terms e log p to lambda_side as it passes
+    into the incidence cumulative, off which n_trunc at each cutoff is read.
     """
     _check_x(x)
     if x < 2:
@@ -242,25 +224,31 @@ def contradiction_probe(
         cutoffs.append(power_cutoff(x, delta))
     if columns is None:
         columns = iter_columns(x + 1, 2 * x, segment_size, workers)
-    cols = list(columns)
-    ledger = lambda_identity_check(x, columns=cols)
-    cumulative = _cumulative(cols, max(cutoffs, default=1), False)
+    lam = _ExactSum()
+
+    def passing(columns):
+        for cols in columns:
+            lam.add(cols.exponents * _logs(cols.primes))
+            yield cols
+
+    keys, covered = _cumulative(passing(columns), max(cutoffs, default=1), False)
+    lhs_exact, lhs_main_term, lambda_side = lhs_logsum(x), 2.0 * x * math.log(x), lam.value()
     out = []
     for sums in sum_ledger(x, deltas):
-        n_trunc = _covered(cumulative, sums.cutoff)
+        n_trunc = _covered(keys, covered, sums.cutoff)
         out.append(
             ChainLedger(
                 x=x,
-                lhs_exact=ledger.lhs_exact,
-                lhs_main_term=ledger.lhs_main_term,
-                lambda_side=ledger.lambda_side,
+                lhs_exact=lhs_exact,
+                lhs_main_term=lhs_main_term,
+                lambda_side=lambda_side,
                 delta=sums.delta,
                 cutoff=sums.cutoff,
                 n_trunc=n_trunc,
                 R=sums.R,
                 S=sums.S,
-                margin=ledger.lhs_main_term - (sums.R + sums.S),
-                margin_exact=ledger.lhs_exact - n_trunc,
+                margin=lhs_main_term - (sums.R + sums.S),
+                margin_exact=lhs_exact - n_trunc,
             )
         )
     return out

@@ -17,7 +17,7 @@ from quadfactor.cli import main
 from quadfactor.modmath import iter_primes, sqrt_minus_one
 from quadfactor.polysieve import divisor_incidence, records_scan, sieve_columns
 from quadfactor.rootcount import count_by_floor_identity, count_exact, count_upper_bound
-from quadfactor.verifier import contradiction_probe, coverage_curve, lambda_identity_check
+from quadfactor.verifier import contradiction_probe, coverage_curve
 
 from oracles import factorize_value, records_of, trial_division_factor
 
@@ -93,7 +93,7 @@ def test_criterion_3_von_mangoldt_identity():
     rels = []
     try:
         for x in (10**2, 10**3, 10**4):
-            led = lambda_identity_check(x)
+            (led,) = contradiction_probe(x, [0.0])
             rel = abs(led.lhs_exact - led.lambda_side) / led.lhs_exact
             assert rel <= 1e-9, (x, rel)
             rels.append(rel)

@@ -396,7 +396,7 @@ EXPORTS = {
     ),
     "verifier": (
         "ChainLedger", "CoverageCurve", "ProbeResult", "contradiction_probe", "coverage_curve",
-        "lambda_identity_check", "lhs_logsum", "largest_prime_probe",
+        "lhs_logsum", "largest_prime_probe",
     ),
 }
 

@@ -20,7 +20,7 @@ from quadfactor.polysieve import (
     records_scan,
     sieve_columns,
 )
-from quadfactor.verifier import coverage_curve, lambda_identity_check, largest_prime_probe
+from quadfactor.verifier import contradiction_probe, coverage_curve, largest_prime_probe
 from quadfactor.rootcount import count_exact
 from quadfactor.modmath import sqrt_minus_one
 
@@ -126,9 +126,10 @@ def test_sieve_segment_random_windows_against_sympy():
 @pytest.mark.parametrize("p", [5, 101])
 @pytest.mark.parametrize("base", [10**6, 2 * 10**7])
 def test_sieve_segment_widths_around_a_prime(p, base):
-    # W = p-1 puts p on the hit-test side of the split, W = p and p+1 on the
-    # strided side; the windows start on a root class of p, so p divides the
-    # first value, and for W = p+1 the last one too
+    # W = p-1 and W = p give each root class of p at most one hit in the
+    # window, W = p+1 a run of two for the class it starts on; the windows
+    # start on a root class of p, so p divides the first value, and for
+    # W = p+1 the last one too
     b = modmath._root_for_prime(p)
     for c in (b, p - b):
         lo = base + (c - base) % p
@@ -475,6 +476,10 @@ def test_column_reductions_equal_the_record_loops(data):
         assert got == _record_incidence(records, y_cutoff, powers)
         assert list(got) == sorted(got)
         curve = coverage_curve(x, with_prime_powers=powers, columns=columns)
-        assert list(curve.cumulative) == _record_cumulative(records, 4 * x * x + 1, powers)
+        cumulative = list(zip(curve.keys.tolist(), curve.covered.tolist()))
+        assert cumulative == _record_cumulative(records, 4 * x * x + 1, powers)
     terms = [e * math.log(p) for rec in records for p, e in rec.factors]
-    assert lambda_identity_check(x, columns=columns).lambda_side == math.fsum(terms)
+    # the lambda side sums the columns it is given, so x = 1 borrows the ledger
+    # of x = 2 (sum_ledger needs x >= 2) and still checks its one column, n = 2
+    (led,) = contradiction_probe(max(x, 2), [0.0], columns=columns)
+    assert led.lambda_side == math.fsum(terms)

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -11,7 +13,6 @@ from quadfactor.rootcount import count_in_class, count_root_classes
 from quadfactor.verifier import (
     contradiction_probe,
     coverage_curve,
-    lambda_identity_check,
     lhs_logsum,
     largest_prime_probe,
 )
@@ -54,12 +55,12 @@ def test_lhs_logsum_stable_normalized_gap():
 def test_lambda_identity_single_value():
     # log 50 = log 2 + 2 log 5
     assert math.log(50) == pytest.approx(math.log(2) + 2 * math.log(5), rel=1e-12)
-    led = lambda_identity_check(50)
+    (led,) = contradiction_probe(50, [0.0])
     assert abs(led.lhs_exact - led.lambda_side) / led.lhs_exact <= 1e-12
 
 
 def test_lambda_identity_x1e5():
-    led = lambda_identity_check(10**5)
+    (led,) = contradiction_probe(10**5, [0.0])
     assert abs(led.lhs_exact - led.lambda_side) / led.lhs_exact <= 1e-9
 
 
@@ -125,20 +126,20 @@ def test_reductions_equal_fsum_of_their_terms(segment_size):
     kwargs = {} if segment_size is None else {"segment_size": segment_size}
     assert lhs_logsum(x) == math.fsum(math.log(n * n + 1) for n in range(x + 1, 2 * x + 1))
     factors = [pe for n in range(x + 1, 2 * x + 1) for pe in trial_division_factor(n * n + 1)]
-    led = lambda_identity_check(x, **kwargs)
+    (led,) = contradiction_probe(x, [0.0], **kwargs)
     assert led.lambda_side == math.fsum(e * math.log(p) for p, e in factors)
     for powers in (False, True):
         keys = _key_terms(x, powers)
         curve = coverage_curve(x, with_prime_powers=powers, **kwargs)
-        assert [d for d, _ in curve.cumulative] == [d for d, _ in keys]
-        for k, (_, c) in enumerate(curve.cumulative):
+        assert curve.keys.tolist() == [d for d, _ in keys]
+        for k, c in enumerate(curve.covered.tolist()):
             assert c == math.fsum(t for _, t in keys[: k + 1])
 
 
 def _delta_star_by_scan(curve, tol):
     """The linear scan delta_star_at replaced: first C >= (1 - tol) * total."""
     threshold = (1.0 - tol) * curve.total
-    for d, c in curve.cumulative:
+    for d, c in zip(curve.keys.tolist(), curve.covered.tolist()):
         if c >= threshold:
             return math.log(d) / math.log(curve.x) - 1.0
     return None
@@ -148,7 +149,7 @@ def test_delta_star_at_equals_linear_scan():
     rng = random.Random(5)
     for x, powers in ((100, True), (100, False), (257, True), (257, False)):
         curve = coverage_curve(x, with_prime_powers=powers)
-        cs = [c for _, c in curve.cumulative]
+        cs = curve.covered.tolist()
         assert cs == sorted(cs)
         # random tolerances, tolerances that put the threshold on a point of
         # the curve, and one the powerless curve never reaches
@@ -186,6 +187,34 @@ def test_contradiction_probe_reads_each_cutoff_off_one_pass():
         assert led.margin_exact == led.lhs_exact - n_trunc
         (single,) = sum_ledger(x, [led.delta])
         assert (led.R, led.S) == (single.R, single.S)
+
+
+@pytest.mark.parametrize(
+    "consume",
+    [
+        lambda columns: contradiction_probe(1000, [0.0, 0.5], columns=columns),
+        lambda columns: coverage_curve(1000, columns=columns),
+        lambda columns: largest_prime_probe(1000, columns=columns),
+    ],
+    ids=["contradiction_probe", "coverage_curve", "largest_prime_probe"],
+)
+def test_column_consumers_hold_at_most_one_segment(consume):
+    # each consumer reads the stream once: when the next segment is asked
+    # for, at most the one before it (the consumer's loop variable) is alive
+    refs, alive = [], []
+
+    def segments():
+        for lo in range(1001, 2001, 97):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            cols = sieve_columns(lo, min(lo + 96, 2000))
+            refs.append(weakref.ref(cols.primes))
+            yield cols
+            del cols
+
+    consume(segments())
+    assert len(refs) == 11
+    assert max(alive) <= 1, alive
 
 
 def test_contradiction_probe_validates_every_delta_before_any_work(monkeypatch):
