@@ -156,11 +156,12 @@ def iter_primes(
 def _root_for_prime(p: int) -> int:
     """Root of -1 for p already known to be prime and 1 (mod 4).
 
-    Bulk callers feeding sieve output use this directly; sqrt_minus_one adds
-    the input validation.  Smallest nonresidue z by ascending search (only a
-    prime can be the smallest one); then z^((p-1)/4) squares to
-    z^((p-1)/2) = -1 by Euler's criterion.  2 is a nonresidue exactly when
-    p = +-3 (mod 8), so p = 5 (mod 8) resolves without any Euler test.
+    sqrt_minus_one adds the input validation.  2 is a nonresidue exactly
+    when p = +-3 (mod 8), so p = 5 (mod 8) resolves without any Euler test.
+    Otherwise the least nonresidue z comes from trying z = 3, 5, 7, ...: an
+    odd composite below it is a product of residues, so the first odd hit is
+    the least.  Then z^((p-1)/4) squares to z^((p-1)/2) = -1 by Euler's
+    criterion.
     """
     e = (p - 1) // 2
     if p % 8 == 5:
@@ -168,16 +169,9 @@ def _root_for_prime(p: int) -> int:
     else:
         z = 3
         while pow(z, e, p) != p - 1:
-            z = _next_candidate(z)
+            z += 2
     b = pow(z, e // 2, p)
     return min(b, p - b)
-
-
-def _next_candidate(z: int) -> int:
-    i = _TINY_PRIMES.index(z) if z in _TINY_PRIMES else -1
-    if 0 <= i < len(_TINY_PRIMES) - 1:
-        return _TINY_PRIMES[i + 1]
-    return z + 2
 
 
 def sqrt_minus_one(p: int) -> RootPair:
@@ -189,32 +183,32 @@ def sqrt_minus_one(p: int) -> RootPair:
     return RootPair(p=p, b=_root_for_prime(p))
 
 
-_root_table_cache: Optional[Tuple[int, "numpy.ndarray"]] = None
+_root_table_cache: Optional[Tuple[int, list["numpy.ndarray"]]] = None
 
 
-def root_table(hi: int) -> "numpy.ndarray":
+def root_table(hi: int) -> list["numpy.ndarray"]:
     """Rows (p, b_p) for every prime p = 1 (mod 4) up to hi, ascending in p.
 
-    A uint32 array of shape (k, 2); b_p is the root of b^2 = -1 (mod p)
-    normalized to (0, p/2), equal to _root_for_prime(p).  The largest table
-    built so far is kept for the life of the process, so a fork pool started
-    after the first call inherits it and smaller bounds are served by a
-    prefix of it.
+    A list of uint32 chunks of shape (k, 2), k >= 1, the chunks of
+    iter_root_rows as they were built and audited; they are never joined.
+    b_p is the root of b^2 = -1 (mod p) normalized to (0, p/2), equal to
+    _root_for_prime(p).  The largest table built so far is kept for the life
+    of the process, so a fork pool started after the first call inherits it;
+    a smaller bound gets views of its leading chunks, the last one cut.
     """
     global _root_table_cache
     if hi > HI_MAX:
         raise OverflowError(f"hi={hi} above 2^31: the root table is uint32")
     if _root_table_cache is None or _root_table_cache[0] < hi:
-        _root_table_cache = (hi, _build_root_table(hi))
-    table = _root_table_cache[1]
-    return table[: int(table[:, 0].searchsorted(hi, side="right"))]
-
-
-def _build_root_table(hi: int, chunk: int = _TABLE_CHUNK) -> "numpy.ndarray":
-    """Uncached root_table: the chunks of iter_root_rows joined."""
-    import numpy as np
-
-    return np.concatenate([np.empty((0, 2), dtype=np.uint32), *iter_root_rows(hi, chunk)])
+        _root_table_cache = (hi, list(iter_root_rows(hi)))
+    table = []
+    for rows in _root_table_cache[1]:
+        cut = int(rows[:, 0].searchsorted(hi, side="right"))
+        if cut:
+            table.append(rows[:cut])
+        if cut < len(rows):
+            break
+    return table
 
 
 def iter_root_rows(hi: int, chunk: int = _TABLE_CHUNK) -> Iterator["numpy.ndarray"]:

@@ -7,10 +7,11 @@ survives is prime: two prime factors above hi >= n would multiply past
 itself, which (q-n)(q+n) = 1 forbids.  So sieving only up to hi is enough,
 and each residual carries multiplicity 1.
 
-The roots come from one table per bound (modmath.root_table).  A segment is
-one numpy pass.  One vectorized test over the table, in row chunks, keeps
-each root's first offset (+-b - lo) mod p below the segment width W, and
-each kept offset runs in steps of p to the end (one hit for p > W).
+The roots come from one table per bound (modmath.root_table), kept as the
+row chunks it was built in and never joined.  A segment is one numpy pass.
+One vectorized test over the table, a chunk at a time, keeps each root's
+first offset (+-b - lo) mod p below the segment width W, and each kept
+offset runs in steps of p to the end (one hit for p > W).
 Exponents are read off the original values n^2 + 1 (below 2^63 for
 hi <= 2^31, so uint64 is exact) and the residuals are what one division by
 p^e at every hit leaves.
@@ -34,7 +35,6 @@ from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
 if TYPE_CHECKING:
     import numpy
 _RESIDUAL_SPOT_CHECK_STRIDE = 4093  # sampled primality audit of residuals
-_HIT_TEST_ROWS = 1 << 18
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +78,7 @@ class RecordBlock:
 
 
 def _root_hits(
-    table: "numpy.ndarray", lo: int, width: int
+    table: list["numpy.ndarray"], lo: int, width: int
 ) -> Tuple["numpy.ndarray", "numpy.ndarray"]:
     """(int64 offsets into the window, uint64 primes) of every hit, p ascending.
 
@@ -91,9 +91,9 @@ def _root_hits(
     import numpy as np
 
     offsets, primes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    # in row chunks, so the temporaries stay small for any bound
-    for lo_row in range(0, len(table), _HIT_TEST_ROWS):
-        p, b = table[lo_row : lo_row + _HIT_TEST_ROWS].T
+    # a table chunk at a time, so the temporaries stay small for any bound
+    for rows in table:
+        p, b = rows.T
         # (b - lo) mod p and (-b - lo) mod p in uint32: with shift =
         # p - (lo mod p), b + shift and p - b + shift stay under 2p < 2^32
         shift = p - lo % p

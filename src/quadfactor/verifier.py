@@ -210,9 +210,10 @@ def contradiction_probe(
     Each ledger carries the truncated incidence sum, R and S, the margin
     2x log x - (R+S) whose sign flip across delta is the contradiction
     mechanism, and the ground-truth margin lhs_exact - n_trunc.  Every delta
-    is checked (range, then cutoff) before any work.  The columns are read
-    once: each segment adds its terms e log p to lambda_side as it passes
-    into the incidence cumulative, off which n_trunc at each cutoff is read.
+    is checked (range, then cutoff) before any work, and no delta means no
+    work.  The columns are read once: each segment adds its terms e log p
+    to lambda_side as it passes into the incidence cumulative, off which
+    n_trunc at each cutoff is read.
     """
     _check_x(x)
     if x < 2:
@@ -222,6 +223,8 @@ def contradiction_probe(
         if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
         cutoffs.append(power_cutoff(x, delta))
+    if not cutoffs:
+        return []
     if columns is None:
         columns = iter_columns(x + 1, 2 * x, segment_size, workers)
     lam = _ExactSum()
@@ -231,7 +234,7 @@ def contradiction_probe(
             lam.add(cols.exponents * _logs(cols.primes))
             yield cols
 
-    keys, covered = _cumulative(passing(columns), max(cutoffs, default=1), False)
+    keys, covered = _cumulative(passing(columns), max(cutoffs), False)
     lhs_exact, lhs_main_term, lambda_side = lhs_logsum(x), 2.0 * x * math.log(x), lam.value()
     out = []
     for sums in sum_ledger(x, deltas):

@@ -486,8 +486,7 @@ def no_prime_work(monkeypatch):
         raise RuntimeError("prime work started")
 
     names = (
-        "iter_columns", "iter_primes", "_class_sieve", "root_table",
-        "iter_root_rows", "_build_root_table",
+        "iter_columns", "iter_primes", "_class_sieve", "root_table", "iter_root_rows",
     )
     for mod in (quadfactor.modmath, quadfactor.polysieve, quadfactor.chebsums,
                 quadfactor.verifier, quadfactor.cli):

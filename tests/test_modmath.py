@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,10 @@ from quadfactor.modmath import (
     DEFAULT_SEGMENT_SIZE,
     HI_MAX,
     RootPair,
-    _build_root_table,
     _root_for_prime,
     is_prime,
     iter_primes,
+    iter_root_rows,
     root_table,
     sqrt_minus_one,
 )
@@ -213,36 +214,71 @@ def test_hensel_lift_overflow():
         hensel_lift(sqrt_minus_one(5), 0)
 
 
+def _scalar_rows(hi):
+    return [[p, _root_for_prime(p)] for p in iter_primes(2, max(hi, 2), (4, 1))]
+
+
+def _rows_of(table):
+    for chunk in table:
+        assert chunk.dtype.name == "uint32" and chunk.ndim == 2 and chunk.shape[1] == 2
+        assert len(chunk), "root_table returned an empty chunk"
+    return [row for chunk in table for row in chunk.tolist()]
+
+
 def test_root_table_matches_scalar_roots_up_to_1e6():
-    expected = [[p, _root_for_prime(p)] for p in iter_primes(5, 10**6, (4, 1))]
+    expected = _scalar_rows(10**6)
     # the default chunk covers 10^6 at once; the others cut it in many places
     for chunk in (modmath._TABLE_CHUNK, 4097, 1000):
-        table = _build_root_table(10**6, chunk)
-        assert table.dtype.name == "uint32" and table.shape == (len(expected), 2)
-        assert table.tolist() == expected, chunk
+        blocks = list(iter_root_rows(10**6, chunk))
+        assert all(block.dtype.name == "uint32" for block in blocks)
+        assert [row for block in blocks for row in block.tolist()] == expected, chunk
+    assert _rows_of(root_table(10**6)) == expected
 
 
-def test_root_table_small_bounds_and_prefixes():
-    for hi in range(0, 300):
-        table = _build_root_table(hi, chunk=7)
-        assert table[:, 0].tolist() == list(iter_primes(2, max(hi, 2), (4, 1))), hi
+def test_root_table_small_bounds_and_prefixes(monkeypatch):
     full = root_table(5000)
     for hi in (1, 5, 12, 13, 4999, 5000):
         count = len(list(iter_primes(2, max(hi, 2), (4, 1))))
-        assert root_table(hi).tolist() == full[:count].tolist()
+        assert _rows_of(root_table(hi)) == _rows_of(full)[:count]
+    # 7-member chunks: 5..29, 33..57, ...; the chunk 201, 205, ..., 225 has no prime
+    monkeypatch.setattr(modmath, "iter_root_rows", functools.partial(iter_root_rows, chunk=7))
+    assert [] in [rows.tolist() for rows in iter_root_rows(300, chunk=7)]
+    for hi in range(0, 301):
+        monkeypatch.setattr(modmath, "_root_table_cache", None)
+        assert _rows_of(root_table(hi)) == _scalar_rows(hi), hi
+    cached = [rows for rows in modmath._root_table_cache[1] if len(rows)]
+    for hi in range(0, 301):
+        table = root_table(hi)
+        assert _rows_of(table) == _scalar_rows(hi), hi
+        # views of the leading cached chunks, not copies
+        assert all(chunk.base is rows for chunk, rows in zip(table, cached)), hi
+
+
+def test_root_table_build_holds_little_beyond_its_rows(monkeypatch):
+    import numpy  # imported before tracing, so its import is not counted
+
+    monkeypatch.setattr(modmath, "_root_table_cache", None)
+    tracemalloc.start()
+    try:
+        table = root_table(3 * 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = sum(chunk.nbytes for chunk in table)
+    assert peak < 1.5 * rows, (peak, rows)
 
 
 def test_root_table_audit_rejects_a_bad_root(monkeypatch):
     monkeypatch.setattr(modmath, "_batch_roots", lambda p, base: p - 1)
     with pytest.raises(AssertionError):
-        _build_root_table(100)
+        list(iter_root_rows(100))
 
 
 def test_root_table_rejects_bounds_above_2_31_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise RuntimeError("table work started")
 
-    monkeypatch.setattr(modmath, "_build_root_table", no_work)
+    monkeypatch.setattr(modmath, "iter_root_rows", no_work)
     monkeypatch.setattr(modmath, "_root_table_cache", None)
     with pytest.raises(OverflowError):
         root_table(HI_MAX + 1)

@@ -98,7 +98,7 @@ def test_sieve_segment_validation(monkeypatch):
         raise RuntimeError("table work started")
 
     # an out-of-envelope bound is refused before any root table work
-    monkeypatch.setattr(modmath, "_build_root_table", no_work)
+    monkeypatch.setattr(modmath, "iter_root_rows", no_work)
     monkeypatch.setattr(modmath, "_root_table_cache", None)
     with pytest.raises(OverflowError):
         sieve_columns(2, 2**31 + 1)
@@ -374,7 +374,7 @@ def test_sieve_segment_matches_factorint(window):
         # a table prime that divides no value in the window has no hit, so
         # the rows of the dividing primes give the same columns as the full
         # table near 2^31, whose build would dominate the test
-        with mock.patch.object(polysieve, "root_table", lambda bound: _dividing_rows(lo, hi)):
+        with mock.patch.object(polysieve, "root_table", lambda bound: [_dividing_rows(lo, hi)]):
             records = records_of(sieve_columns(lo, hi))
     assert [rec.n for rec in records] == list(range(lo, hi + 1))
     for rec in records:

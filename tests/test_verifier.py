@@ -229,6 +229,15 @@ def test_contradiction_probe_validates_every_delta_before_any_work(monkeypatch):
         contradiction_probe(10**5, [0.5, 1.5, 1.0])
 
 
+def test_contradiction_probe_with_no_delta_does_no_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise RuntimeError("sieve started")
+
+    for name in ("iter_columns", "lhs_logsum", "sum_ledger"):
+        monkeypatch.setattr(verifier, name, no_work)
+    assert contradiction_probe(10**5, []) == []
+
+
 def test_contradiction_probe_full_cutoff_margin():
     (led,) = contradiction_probe(10**3, [1.0])
     # only primes above x^2 are missing from the truncated sum
