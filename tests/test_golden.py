@@ -35,6 +35,7 @@ CASES = {
     "sieve_table_chunks": [
         "sieve", "--lo", "8000000", "--hi", "8000150", "--segment-size", "50", "--workers", "1",
     ],
+    "sieve_window_3e7": ["sieve", "--lo", "29999500", "--hi", "30000000", "--workers", "1"],
     "sieve_range": ["sieve", "--lo", "5", "--hi", "3", "--workers", "1"],
     "records_csv": ["records", "--n-max", "500", "--workers", "1"],
     "records_jsonl_w2": [
