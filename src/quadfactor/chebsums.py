@@ -164,7 +164,7 @@ def mertens_prefixes(cutoffs: Sequence[int], q: int, a: int) -> list[float]:
 
     def chunks():
         for n0, flags in _class_sieve(2, marks[-1], q, a % q, DEFAULT_SEGMENT_SIZE):
-            p = n0 + q * np.flatnonzero(np.frombuffer(flags, dtype=np.uint8))
+            p = n0 + q * np.frombuffer(flags, np.bool_).nonzero()[0]
             yield p, [_logs(p) / p]
 
     seen = {z: sums[0] for z, (sums, _) in zip(marks, _prefix_sums(chunks(), marks, 1))}

@@ -224,7 +224,7 @@ def iter_root_rows(hi: int, chunk: int = _TABLE_CHUNK) -> Iterator["numpy.ndarra
 
     base = _base_primes(math.isqrt(max(hi, 0)) + 1)
     for n0, flags in _class_sieve(2, hi, 4, 1, chunk):
-        p = n0 + 4 * np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).astype(np.int64)
+        p = n0 + 4 * np.frombuffer(flags, np.bool_).nonzero()[0].astype(np.int64)
         b = _batch_roots(p, base)
         bad = np.flatnonzero((b * b + 1) % p)
         if bad.size:
@@ -242,27 +242,57 @@ def _batch_roots(p: "numpy.ndarray", base: Tuple[int, ...]) -> "numpy.ndarray":
     prime below sqrt(p) + 1, so base always holds one.  Then
     z^((p-1)/4) squares to -1, and either of its signs normalizes to the
     same root whichever nonresidue was used.
+
+    The rows that share a z get that power together, left to right in k-bit
+    digits of the exponent (the 2^k-ary method): each digit d costs k
+    squarings mod p, then one product with z^d, read from a table of 2^k
+    plain integers, and one reduction, so 1 + 1/k reductions per exponent
+    bit.  k is the largest width with z^(2^k - 1) < 2^32 (5 for z = 2, 4 for
+    3, 3 up to 23, 2 up to 1625).  Every running value is below p < 2^31,
+    so each product stays below z^(2^k - 1) * p < 2^63 and int64 is exact.
     """
     import numpy as np
 
-    z = np.where(p % 8 == 5, 2, 0)
-    todo = np.flatnonzero(z == 0)
+    b = np.zeros_like(p)
+    five = (p & 7) == 5
+    group = np.flatnonzero(five)
+    b[group] = _digit_powers(2, p[group])
+    todo = np.flatnonzero(~five)
     for q in base[1:]:
         if not todo.size:
             break
         squares = np.zeros(q, dtype=bool)
         squares[np.arange(q) ** 2 % q] = True
         hit = ~squares[p[todo] % q]
-        z[todo[hit]] = q
+        group = todo[hit]
+        b[group] = _digit_powers(q, p[group])
         todo = todo[~hit]
-    result = np.ones_like(p)
-    power = z
-    e = (p - 1) // 4
-    while e.any():
-        result = np.where(e & 1, result * power % p, result)
-        power = power * power % p
-        e >>= 1
-    return np.minimum(result, p - result)
+    return np.minimum(b, p - b)
+
+
+def _digit_powers(z: int, p: "numpy.ndarray") -> "numpy.ndarray":
+    """z^((p-1)/4) mod p for each p of an int64 array, as _batch_roots says."""
+    import numpy as np
+
+    if not p.size:
+        return p.copy()
+    k = 1
+    while z ** ((2 << k) - 1) < 1 << 32:
+        k += 1
+    digit_powers = np.array([z**d for d in range(1 << k)], dtype=np.int64)
+    mask = (1 << k) - 1
+    e = (p - 1) >> 2
+    shift = k * (-(-int(e.max()).bit_length() // k) - 1)  # of the leading digit
+    # the leading z^d can exceed p, so it is reduced before it is squared
+    r = digit_powers[e >> shift] % p
+    while shift:
+        shift -= k
+        for _ in range(k):
+            np.multiply(r, r, out=r)
+            np.remainder(r, p, out=r)
+        np.multiply(r, digit_powers[(e >> shift) & mask], out=r)
+        np.remainder(r, p, out=r)
+    return r
 
 
 def _logs(values: "numpy.ndarray") -> "numpy.ndarray":

@@ -254,6 +254,45 @@ def test_root_table_small_bounds_and_prefixes(monkeypatch):
         assert all(chunk.base is rows for chunk, rows in zip(table, cached)), hi
 
 
+def _least_nonresidue(p):
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return z
+
+
+def _digit_width(z):
+    """The largest k with z^(2^k - 1) < 2^32."""
+    return 5 if z == 2 else 4 if z == 3 else 3 if z <= 23 else 2 if z <= 1625 else 1
+
+
+def test_batch_roots_match_scalar_roots_at_every_digit_width():
+    import numpy as np
+
+    # every prime p = 1 (mod 4) below 2^17, and those among the top 2^16
+    # members of the class below 2^31
+    low = np.array(list(iter_primes(2, 2**17, (4, 1))), dtype=np.int64)
+    top = np.array(list(iter_primes(HI_MAX - 2**18, HI_MAX, (4, 1))), dtype=np.int64)
+    assert top.size == 6111
+    # 130729 is the largest p below 2^17 with least nonresidue 23, and
+    # (p - 1)/4 leads with the 3-bit digit 7: 23^7 must be reduced mod p
+    # before it is squared, or the square overflows int64
+    assert _least_nonresidue(130729) == 23 and (130729 - 1) // 4 >> 12 == 7
+    low_z = [_least_nonresidue(p) for p in low.tolist()]
+    top_z = [_least_nonresidue(p) for p in top.tolist()]
+    assert {_digit_width(z) for z in low_z + top_z} == {2, 3, 4, 5}
+    assert sum(z >= 29 for z in top_z) == 12
+    base = modmath._base_primes(math.isqrt(HI_MAX) + 1)
+    # whole chunks, and chunks with no p = 5 (mod 8) or no p = 1 (mod 8),
+    # whose z = 2 group or whose odd groups are empty
+    for p in (low, top, low[low % 8 == 1], low[low % 8 == 5], top[top % 8 == 1], top[top % 8 == 5]):
+        b = modmath._batch_roots(p, base)
+        assert b.dtype == np.int64
+        assert b.tolist() == [_root_for_prime(q) for q in p.tolist()]
+    empty = modmath._batch_roots(np.zeros(0, dtype=np.int64), base)
+    assert empty.dtype == np.int64 and empty.size == 0
+
+
 def test_root_table_build_holds_little_beyond_its_rows(monkeypatch):
     import numpy  # imported before tracing, so its import is not counted
 
