@@ -279,18 +279,18 @@ def _digit_powers(z: int, p: "numpy.ndarray") -> "numpy.ndarray":
     k = 1
     while z ** ((2 << k) - 1) < 1 << 32:
         k += 1
-    digit_powers = np.array([z**d for d in range(1 << k)], dtype=np.int64)
+    table = np.array([z**d for d in range(1 << k)], dtype=np.int64)
     mask = (1 << k) - 1
     e = (p - 1) >> 2
     shift = k * (-(-int(e.max()).bit_length() // k) - 1)  # of the leading digit
     # the leading z^d can exceed p, so it is reduced before it is squared
-    r = digit_powers[e >> shift] % p
+    r = table[e >> shift] % p
     while shift:
         shift -= k
         for _ in range(k):
             np.multiply(r, r, out=r)
             np.remainder(r, p, out=r)
-        np.multiply(r, digit_powers[(e >> shift) & mask], out=r)
+        np.multiply(r, table[(e >> shift) & mask], out=r)
         np.remainder(r, p, out=r)
     return r
 

@@ -285,7 +285,7 @@ def test_batch_roots_match_scalar_roots_at_every_digit_width():
     base = modmath._base_primes(math.isqrt(HI_MAX) + 1)
     # whole chunks, and chunks with no p = 5 (mod 8) or no p = 1 (mod 8),
     # whose z = 2 group or whose odd groups are empty
-    for p in (low, top, low[low % 8 == 1], low[low % 8 == 5], top[top % 8 == 1], top[top % 8 == 5]):
+    for p in (low, top, *(c[c % 8 == r] for c in (low, top) for r in (1, 5))):
         b = modmath._batch_roots(p, base)
         assert b.dtype == np.int64
         assert b.tolist() == [_root_for_prime(q) for q in p.tolist()]
