@@ -127,7 +127,7 @@ def power_cutoff(x: int, delta: float, limit: Optional[int] = HI_MAX) -> int:
     100^1.5 gives 1000.  Otherwise the rounding of 1.0 + delta moves c by up
     to c * log(x) * 2^-53, which for x > e^2 can exceed one ulp, and a
     boundary can be lost: power_cutoff(243, 0.2) is 728, yet
-    243^1.2 = 3^6 = 729.  An exact integer cutoff is ROADMAP.md item 4.
+    243^1.2 = 3^6 = 729.  An exact integer cutoff is ROADMAP.md item 5.
     The result is an integer, so a prime's membership below it is an exact
     comparison.
     """

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
@@ -190,11 +192,12 @@ def root_table(hi: int) -> list["numpy.ndarray"]:
     """Rows (p, b_p) for every prime p = 1 (mod 4) up to hi, ascending in p.
 
     A list of uint32 chunks of shape (k, 2), k >= 1, the chunks of
-    iter_root_rows as they were built and audited; they are never joined.
-    b_p is the root of b^2 = -1 (mod p) normalized to (0, p/2), equal to
-    _root_for_prime(p).  The largest table built so far is kept for the life
-    of the process, so a fork pool started after the first call inherits it;
-    a smaller bound gets views of its leading chunks, the last one cut.
+    iter_root_rows as they were built or read from the root cache and
+    audited; they are never joined.  b_p is the root of b^2 = -1 (mod p)
+    normalized to (0, p/2), equal to _root_for_prime(p).  The largest table
+    built so far is kept for the life of the process, so a fork pool started
+    after the first call inherits it; a smaller bound gets views of its
+    leading chunks, the last one cut.
     """
     global _root_table_cache
     if hi > HI_MAX:
@@ -215,22 +218,94 @@ def iter_root_rows(hi: int, chunk: int = _TABLE_CHUNK) -> Iterator["numpy.ndarra
     """The rows of root_table(hi), ascending, one uint32 block per sieve chunk.
 
     The primes come from the class sieve over n = 1 (mod 4), chunk members
-    at a time, and get their roots in one batch per chunk; only one chunk is
-    in memory at a time.  hi <= HI_MAX is the caller's contract.  Every row
-    is audited with (b*b + 1) % p == 0 before its chunk is yielded; a
-    failure raises AssertionError.
+    at a time; only one chunk is in memory at a time.  hi <= HI_MAX is the
+    caller's contract.  The roots of a complete chunk (chunk members) are
+    read from the root cache when its file passes _read_roots' checks, which
+    admit only the normalized roots; otherwise, and for the last, partial
+    chunk, they are computed in one batch, every row is audited with
+    (b*b + 1) % p == 0 (a failure raises AssertionError), and a complete
+    chunk's roots are written back to the cache.  The cache never changes a
+    row: deleting it, or any file in it, is always safe.
     """
     import numpy as np
 
     base = _base_primes(math.isqrt(max(hi, 0)) + 1)
+    cache = _cache_dir()
     for n0, flags in _class_sieve(2, hi, 4, 1, chunk):
         p = n0 + 4 * np.frombuffer(flags, np.bool_).nonzero()[0].astype(np.int64)
-        b = _batch_roots(p, base)
-        bad = np.flatnonzero((b * b + 1) % p)
-        if bad.size:
-            i = int(bad[0])
-            raise AssertionError(f"root table: {b[i]}^2 + 1 is not divisible by {p[i]}")
+        path = None
+        if cache is not None and len(flags) == chunk:
+            path = os.path.join(cache, f"roots-{chunk}-{n0}.u4")
+        b = None if path is None else _read_roots(path, p)
+        if b is None:
+            b = _batch_roots(p, base)
+            bad = np.flatnonzero((b * b + 1) % p)
+            if bad.size:
+                i = int(bad[0])
+                raise AssertionError(f"root table: {b[i]}^2 + 1 is not divisible by {p[i]}")
+            if path is not None:
+                _write_roots(path, b)
         yield np.column_stack((p, b)).astype(np.uint32)
+
+
+def _cache_dir() -> Optional[str]:
+    """The root cache: $XDG_CACHE_HOME/quadfactor, or ~/.cache/quadfactor
+    when that variable is unset, empty or relative; None without an
+    absolute home directory, which turns the cache off.
+
+    It holds one file per complete chunk of iter_root_rows, named by the
+    chunk size and the chunk's first member: the chunk's roots, in the
+    order of its primes, as raw little-endian uint32, 4 bytes per prime.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "quadfactor") if os.path.isabs(base) else None
+
+
+def _read_roots(path: str, p: "numpy.ndarray") -> Optional["numpy.ndarray"]:
+    """The cached roots of the primes p (int64), or None.
+
+    The file is read only if it is a regular file of exactly 4 bytes per
+    prime, and its roots are used only if every b has 0 < 2b < p and
+    (b*b + 1) % p == 0, which leaves the normalized root alone; any other
+    content, and any OSError, gives None.
+    """
+    import numpy as np
+
+    size = 4 * p.size
+    try:
+        st = os.stat(path)
+        if not stat.S_ISREG(st.st_mode) or st.st_size != size:
+            return None
+        with open(path, "rb") as f:
+            data = f.read(size + 1)
+    except OSError:
+        return None
+    if len(data) != size:
+        return None
+    b = np.frombuffer(data, "<u4").astype(np.int64)
+    # the range check comes first, so b*b stays below 2^62
+    if not ((b > 0) & (2 * b < p)).all() or ((b * b + 1) % p).any():
+        return None
+    return b
+
+
+def _write_roots(path: str, b: "numpy.ndarray") -> None:
+    """Store the roots b at path: a temporary file in the same directory,
+    then os.replace, so the path holds a whole file or none.  An OSError
+    leaves the cache without this file and is otherwise ignored."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "wb") as f:
+            f.write(b.astype("<u4").tobytes())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
 
 
 def _batch_roots(p: "numpy.ndarray", base: Tuple[int, ...]) -> "numpy.ndarray":

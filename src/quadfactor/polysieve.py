@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Tuple
 
@@ -169,9 +170,10 @@ def iter_columns(
     Segments are independent work units; with workers > 1 they run in a
     process pool and are re-sequenced by segment index, so the stream is
     identical for any worker count.  The root table for hi is built once,
-    before the pool forks, so workers inherit it.  At most 2 * workers
-    segments are submitted ahead of the consumer, which bounds the results
-    held in memory when the consumer is slower than the pool.
+    before the pool forks, so workers inherit it.  The pool has at most as
+    many processes as this process may run on CPUs (_usable_cpus), and at
+    most twice that many segments are submitted ahead of the consumer, which
+    bounds the results held in memory for any worker count.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
@@ -190,6 +192,7 @@ def iter_columns(
     import concurrent.futures
     import multiprocessing
 
+    workers = min(workers, _usable_cpus())
     ctx = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=min(workers, len(bounds)), mp_context=ctx
@@ -208,6 +211,15 @@ def iter_columns(
         finally:
             for future in pending:
                 future.cancel()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one, else os.cpu_count(), and at least 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 # --- interval-level reductions ----------------------------------------------

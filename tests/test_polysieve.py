@@ -335,6 +335,65 @@ def test_iter_records_bounds_segments_in_flight(monkeypatch):
     ]
 
 
+class InlinePool:
+    """A stand-in ProcessPoolExecutor that runs each task when it is
+    submitted, recording max_workers and the most results held at once."""
+
+    max_workers = []
+    most_ahead = 0
+
+    def __init__(self, max_workers, mp_context=None):
+        InlinePool.max_workers.append(max_workers)
+        self.ahead = 0  # submitted, not yet taken by the consumer
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, /, *args):
+        self.ahead += 1
+        InlinePool.most_ahead = max(InlinePool.most_ahead, self.ahead)
+        return InlineResult(self, fn(*args))
+
+
+class InlineResult:
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.ahead -= 1
+        return self.value
+
+    def cancel(self):
+        return False
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, cap",
+    [({0, 1}, 64, 2), ({3}, 64, 1), (None, 3, 3), (None, None, 1)],
+)
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch, affinity, cpu_count, cap):
+    # --workers 64 on a small host forks no more processes than it may use,
+    # and holds no more than twice that many segments ahead of the consumer
+    if affinity is None:
+        monkeypatch.delattr(polysieve.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(polysieve.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(polysieve.os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "max_workers", [])
+    monkeypatch.setattr(InlinePool, "most_ahead", 0)
+    streamed = [records_of(cols) for cols in iter_columns(2, 1201, 50, workers=64)]
+    assert (InlinePool.max_workers, InlinePool.most_ahead) == ([cap], 2 * cap)
+    assert streamed == [records_of(cols) for cols in iter_columns(2, 1201, 50)]
+    # a request with fewer segments than CPUs still takes the pool path
+    InlinePool.max_workers.clear()
+    list(iter_columns(2, 61, 50, workers=64))
+    assert InlinePool.max_workers == [min(cap, 2)]
+
+
 def test_sieve_segment_prime_power_above_the_width():
     # 5 > W = 2 is found by the hit test, yet its full power is divided out
     assert records_of(sieve_columns(7, 8))[0] == FactorizationRecord(7, ((2, 1), (5, 2)), 5)
