@@ -7,6 +7,7 @@ OverflowError instead of silent wraparound semantics.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -236,8 +237,8 @@ def iter_root_rows(hi: int, chunk: int = _TABLE_CHUNK) -> Iterator["numpy.ndarra
         path = None
         if cache is not None and len(flags) == chunk:
             path = os.path.join(cache, f"roots-{chunk}-{n0}.u4")
-        b = None if path is None else _read_roots(path, p)
-        if b is None:
+            b = _read_roots(path, p)
+        if path is None or b is None:
             b = _batch_roots(p, base)
             bad = np.flatnonzero((b * b + 1) % p)
             if bad.size:
@@ -302,10 +303,8 @@ def _write_roots(path: str, b: "numpy.ndarray") -> None:
             f.write(b.astype("<u4").tobytes())
         os.replace(tmp, path)
     except OSError:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
 
 
 def _batch_roots(p: "numpy.ndarray", base: Tuple[int, ...]) -> "numpy.ndarray":

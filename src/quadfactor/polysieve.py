@@ -170,10 +170,10 @@ def iter_columns(
     Segments are independent work units; with workers > 1 they run in a
     process pool and are re-sequenced by segment index, so the stream is
     identical for any worker count.  The root table for hi is built once,
-    before the pool forks, so workers inherit it.  The pool has at most as
-    many processes as this process may run on CPUs (_usable_cpus), and at
-    most twice that many segments are submitted ahead of the consumer, which
-    bounds the results held in memory for any worker count.
+    before the pool forks, so workers inherit it.  The pool starts no more
+    processes than the CPUs this process may run on (_usable_cpus), and at
+    most twice that many segments are submitted ahead of the consumer, so
+    the results held in memory are bounded for any worker count.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")

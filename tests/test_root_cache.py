@@ -130,7 +130,7 @@ def test_a_bad_file_falls_back_to_the_audited_kernel(monkeypatch, root_cache):
         list(iter_root_rows(85, 7))
 
 
-def test_every_golden_cold_then_warm_against_one_cache(monkeypatch, root_cache):
+def test_every_golden_cold_then_warm_against_one_cache(monkeypatch, root_cache, batch_calls):
     # about 64 chunks per bound, so small requests have complete chunks too
     calls = []
 
@@ -143,10 +143,8 @@ def test_every_golden_cold_then_warm_against_one_cache(monkeypatch, root_cache):
     monkeypatch.delenv("QUADFACTOR_WORKERS", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    kernel = modmath._batch_roots
     for state in ("cold", "warm"):
-        batches = []
-        monkeypatch.setattr(modmath, "_batch_roots", lambda p, base: batches.append(1) or kernel(p, base))
+        batch_calls.clear()
         calls.clear()
         for case, argv in sorted(CASES.items()):
             monkeypatch.setattr(modmath, "_root_table_cache", None)
@@ -157,7 +155,7 @@ def test_every_golden_cold_then_warm_against_one_cache(monkeypatch, root_cache):
             ), (state, case)
         if state == "warm":
             # at most the last, partial chunk of each table is computed
-            assert len(batches) <= len(calls)
+            assert len(batch_calls) <= len(calls)
     assert len(_files(root_cache)) > 500
 
 
