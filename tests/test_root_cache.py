@@ -81,9 +81,10 @@ def test_cold_warm_and_partly_deleted_caches_give_the_computed_rows(
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / str(hi)))
         cache = tmp_path / str(hi) / "quadfactor"
         for state in ("cold", "warm", "partly deleted"):
-            computed = {"cold": complete, "warm": 0}.get(state)
-            if computed is None:
+            if state == "partly deleted":
                 computed = _delete_some(cache, 2)
+            else:
+                computed = complete if state == "cold" else 0
             batch_calls.clear()
             assert _flat(iter_root_rows(hi, chunk)) == want, (state, hi)
             assert len(batch_calls) == computed + partial, (state, hi)
