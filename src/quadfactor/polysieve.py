@@ -55,26 +55,26 @@ class FactorColumns:
     exponents: "numpy.ndarray"
     largest: "numpy.ndarray"
 
-    def exponent(self) -> list[float]:
-        """log P(n^2 + 1) / log n for each n (lo >= 2), by modmath._logs."""
+    def exponent(self) -> "numpy.ndarray":
+        """log P(n^2 + 1) / log n for each n (lo >= 2), by modmath._logs, as float64."""
         import numpy as np
 
         ns = np.arange(self.lo, self.lo + len(self.largest), dtype=np.int64)
-        return (_logs(self.largest) / _logs(ns)).tolist()
+        return _logs(self.largest) / _logs(ns)
 
 
 @dataclass(frozen=True, slots=True)
 class RecordBlock:
     """The records scan over one segment, n = lo, lo + 1, ...
 
-    largest[i] is P(n^2 + 1) (uint64), exponent[i] is log P / log n and
+    largest[i] is P(n^2 + 1) (uint64), exponent[i] is log P / log n (float64) and
     is_record[i] (bool) says whether P exceeds every earlier value of the
     scan, including those of earlier segments.
     """
 
     lo: int
     largest: "numpy.ndarray"
-    exponent: list[float]
+    exponent: "numpy.ndarray"
     is_record: "numpy.ndarray"
 
 

@@ -93,7 +93,7 @@ def _floor_root(n, k):
     return lo
 
 
-@pytest.mark.xfail(strict=True, reason="1.0 + delta is rounded before pow (ROADMAP.md item 4)")
+@pytest.mark.xfail(strict=True, reason="1.0 + delta is rounded before pow (ROADMAP.md item 5)")
 @pytest.mark.parametrize("x", [243, 1024, 3125])
 def test_power_cutoff_keeps_integer_boundaries(x):
     # delta = 0.2 = 1/5, so the cutoff is floor(x^(6/5)) = floor((x^6)^(1/5));

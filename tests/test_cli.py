@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -656,3 +658,91 @@ def test_block_emitter_matches_the_per_row_writer(data):
         mp.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
         assert main(argv) == 0
     assert out.getvalue() == _reference_text(fmt, header, rows)
+
+
+def _kernel_lines(kind, values, dtype):
+    import numpy as np
+
+    return cli._csv_text([kind], [np.array(values, dtype=dtype)]).splitlines()
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(),  # subnormals, +-0, negatives, inf and nan included
+            st.integers(0, 2**64 - 1).map(_bits_to_float),  # every double alike
+            st.floats(1e-5, 1e17),  # the kernel's own range, fixed notation
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_csv_kernel_floats_equal_percent_17g(values):
+    assert _kernel_lines("float", values, float) == ["%.17g" % v for v in values]
+
+
+def test_csv_kernel_float_edge_cases():
+    values = []
+    # dyadic ties: v = M / 2^(k+1) with M odd has v * 10^k = M * 5^k / 2, an
+    # exact .5, for the k = 16 - X the kernel scales by
+    for k in range(1, 23):
+        low = math.ceil(Fraction(10) ** (16 - k) * 2 ** (k + 1))
+        high = min(2**53, math.ceil(Fraction(10) ** (17 - k) * 2 ** (k + 1)))  # exclusive
+        for m in (low | 1, (low + high) // 2 | 1, (high - 2) | 1):
+            v = m / 2 ** (k + 1)
+            assert 10 ** (16 - k) <= Fraction(v) < 10 ** (17 - k)
+            assert (Fraction(v) * 10**k).denominator == 2, (k, m)
+            values.append(v)
+    # one ulp either side of each power of ten, and short decimals, whose 17
+    # digits end in a run of 9s or of 0s
+    for j in range(-8, 24):
+        p = float(f"1e{j}")
+        values += [math.nextafter(p, 0), p, math.nextafter(p, math.inf)]
+    values += [float(f"{m}e{e}") for m in (1, 3, 7, 29, 123, 4999, 12345679) for e in range(-9, 18)]
+    values += [0.1 + 0.2, 2 / 3, 1 / 3, 2.5, 0.5, 100.0, 1e16 - 2, 99999999999999984.0]
+    assert _kernel_lines("float", values, float) == ["%.17g" % v for v in values]
+
+
+def test_no_double_rounds_up_to_a_power_of_ten_at_17_digits():
+    # so the kernel's D = round(v * 10^k) never reaches 10^17 (it would fall back)
+    for j in range(-330, 309):
+        below = math.nextafter(float(f"1e{j}"), 0)
+        if below > 0:
+            assert not ("%.16e" % below).startswith("1."), j
+
+
+def test_csv_kernel_ints_and_bools():
+    ints = [0, 9, 10, 99, 100, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**64 - 1]
+    assert _kernel_lines("int", ints, "uint64") == ["%d" % i for i in ints]
+    assert _kernel_lines("bool", [True, False, True], bool) == ["true", "false", "true"]
+
+
+@pytest.mark.parametrize("command", ["records --n-max 3000", "sieve --lo 999000 --hi 1002000"])
+@pytest.mark.parametrize("segment_size", [1, 7, 1000, 5000])
+def test_csv_kernel_never_gets_more_rows_than_a_write(command, segment_size):
+    # blocks are cut and joined across segments to at most _ROWS_PER_WRITE
+    # rows, and the text does not depend on where the cuts fall
+    argv = command.split() + ["--segment-size", str(segment_size), "--workers", "1"]
+    kernel = cli._csv_text
+    for rows_per_write in (64, 1000, 1 << 16):
+        seen = []
+
+        def counting(kinds, cols, factors=None):
+            seen.append(len(cols[0]))
+            return kernel(kinds, cols, factors)
+
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+            mp.setattr(cli, "_csv_text", counting)
+            assert main(argv) == 0
+        assert max(seen) <= rows_per_write
+        assert sum(seen) == out.getvalue().count("\n") - 1
+        if rows_per_write == 64:
+            first = out.getvalue()
+        assert out.getvalue() == first
