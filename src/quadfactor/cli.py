@@ -5,27 +5,29 @@ goes to stderr.  An --output file is complete or absent: it is renamed into
 place only after its last row.  Exit codes: 0 success, 1 validation/usage
 error (or a reader that closed stdout early), 2 internal assertion failure.
 
-Every subcommand declares its columns once, each with a kind, and writes
-its rows through one row template built from them: ints as %d, floats as
-%.17g in CSV and %r (the shortest round-trip repr, as json.dumps writes
-it) in JSON lines, bools as true/false.  So output files are byte-stable
-and round-trip exact.  sieve and records hand the template a segment of
-factor columns at a time; the other subcommands hand it all their rows as
-one block.
+Every subcommand declares its columns once, each with a kind, and its
+rows have the bytes of one row template built from them: ints as %d,
+floats as %.17g in CSV and %r (the shortest round-trip repr, as json.dumps
+writes it) in JSON lines, bools as true/false.  So output files are
+byte-stable and round-trip exact.  sieve and records CSV, one row per n,
+is written by a numpy kernel (the csvtext module) with those bytes, from
+the factor columns cut and joined across segments into blocks of at most
+_ROWS_PER_WRITE rows.  Their JSON lines and the other subcommands, which
+hand all their rows over as one block, go through the template itself
+(_format_blocks): verify counts never loads numpy.
 
 Each request is a fresh interpreter, so start-up is part of its cost.  At
 module level this imports only argparse, the stdlib every subcommand needs
 and modmath's envelope constants.  Each subcommand imports its own modules
 after its argument checks, and stdlib that one branch needs (tempfile, the
 fork pool) is imported in that branch: --help, a refused request or verify
-counts never import the sieve, the sum ledgers or numpy.
+counts never import the sieve, the sum ledgers, the CSV kernel or numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import itertools
 import math
 import os
@@ -79,264 +81,6 @@ def _format_blocks(
 
 def _csv_header(columns: Sequence[Tuple[str, str]]) -> str:
     return ",".join(name for name, _ in columns) + "\n"
-
-
-@functools.cache
-def _csv_tables():
-    """Read-only lookup tables of the CSV kernel, built on first use."""
-    import numpy as np
-
-    tables = {
-        # "00".."99" as the uint16 whose bytes are the two digits, in native
-        # order, then the same with leading zeros as NUL: "\0\0", "\01", .., "99"
-        "pairs": np.frombuffer(
-            "".join(["%02d" % r for r in range(100)] + ["\0\0"]
-                    + [format(r, "\0>2") for r in range(1, 100)]).encode(),
-            np.uint16,
-        ),
-        "pow10": 10.0 ** np.arange(23),  # exact doubles up to 10^22
-        "bools": np.frombuffer(b"false" + b"true\0", np.uint8).reshape(2, 5),
-    }
-    # layout of the 17 digits d0..d16 of a %.17g in fixed notation, per
-    # decimal exponent X = -4..16, as indices into "0" + d0..d16 + "." + NUL
-    layout = np.full((21, 22), 19, dtype=np.intp)
-    for x in range(-4, 17):
-        if x >= 0:
-            idx = [*range(1, x + 2), 18, *range(x + 2, 18)]
-        else:
-            idx = [0, 18, *[0] * (-x - 1), *range(1, 18)]
-        layout[x + 4, : len(idx)] = idx
-    tables["layout"] = layout
-    for table in tables.values():
-        table.flags.writeable = False
-    return tables
-
-
-def _int_field(values: "numpy.ndarray") -> "numpy.ndarray":
-    """%d of each non-negative integer, right-aligned in a NUL-padded uint8 matrix."""
-    import numpy as np
-
-    values = values.astype(np.uint64, copy=False)
-    width = len(str(int(values.max(initial=0))))
-    out = np.empty((len(values), width + width % 2), dtype=np.uint8)
-    _digit_pairs(values, out.view(np.uint16), strip=True)
-    out[values == 0, -1] = ord("0")  # the one digit of 0, stripped with the rest
-    return out
-
-
-def _digit_pairs(values: "numpy.ndarray", pairs: "numpy.ndarray", strip: bool) -> None:
-    """Write the digits of each uint64 into its row of the uint16 matrix pairs.
-
-    Two digits per entry, from a table indexed by the remainder mod 100, and
-    zero-padded on the left; with strip, the leading zeros are NUL instead,
-    read from the table's second half where what is left is below 100.
-    """
-    import numpy as np
-
-    table = _csv_tables()["pairs"]
-    hundred = np.uint64(100)
-    for j in range(pairs.shape[1] - 1, -1, -1):
-        quotient = values // hundred  # floor_divide by a scalar is SIMD; divmod is not
-        # the remainder is below 100, so its int64 view indexes without a cast
-        index = (values - quotient * hundred).view(np.int64)
-        if strip:
-            index = index + 100 * (values < hundred)
-        pairs[:, j] = table[index]
-        values = quotient
-
-
-def _two_product(a: "numpy.ndarray", b: "numpy.ndarray"):
-    """(hi, lo) with hi = fl(a*b) and hi + lo = a*b exactly (Dekker 1971).
-
-    Veltkamp's split cuts each factor into two 26-bit halves whose products
-    are exact doubles; it holds while nothing overflows or underflows.
-    """
-
-    def split(v):
-        c = 134217729.0 * v  # 2^27 + 1
-        high = c - (c - v)
-        return high, v - high
-
-    hi = a * b
-    a1, a2 = split(a)
-    b1, b2 = split(b)
-    return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
-
-
-def _float_field(values: "numpy.ndarray") -> "numpy.ndarray":
-    """"%.17g" % v of each float64, left-aligned in a NUL-padded uint8 matrix.
-
-    For v > 0 with decimal exponent X (10^X <= v < 10^(X+1)) and
-    k = 16 - X in [0, 22], 10^k is an exact double and the 17 digits are
-    D = round(v * 10^k), ties to even, as CPython's correctly rounded
-    conversion gives them (Gay 1990).  v * 10^k = hi + lo exactly; X is
-    found from log10 and corrected until 10^16 <= hi + lo < 10^17, so hi
-    is above 2^53, an even integer, and D = hi + rint(lo).  Fixed notation
-    (-4 <= X < 17) is laid out from a table, trailing fraction zeros cut.
-    Every other value (v <= 0, not finite, exponent notation) is formatted
-    by "%.17g".
-    """
-    import numpy as np
-
-    tables = _csv_tables()
-    values = np.asarray(values, dtype=np.float64)
-    fast = np.isfinite(values) & (values > 0)
-    x = np.floor(np.log10(np.where(fast, values, 1.0))).astype(np.int64)  # one off near 10^j
-    # outside this range k leaves [0, 22] (and the products could overflow)
-    fast &= (x >= -6) & (x <= 16)
-    v, x = np.where(fast, values, 1.0), np.where(fast, x, 0)
-    hi, lo = _two_product(v, tables["pow10"][16 - x])
-    for _ in range(3):  # the few rows whose X is off move one step and are scaled again
-        up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        off = (up | (hi < 1e16) | ((hi == 1e16) & (lo < 0))).nonzero()[0]
-        if not off.size:
-            break
-        x[off] += np.where(up[off], 1, -1)
-        hi[off], lo[off] = _two_product(v[off], tables["pow10"][np.clip(16 - x[off], 0, 22)])
-    else:
-        fast[off] = False
-    d = np.where(fast, hi, 1e16).astype(np.int64) + np.rint(np.where(fast, lo, 0)).astype(np.int64)
-    # no double rounds up to 10^17 here (the tests check every power of ten)
-    fast &= (x >= -4) & (x <= 16) & (d < 10**17)
-    d, x = np.where(fast, d, 10**16), np.where(fast, x, 0)
-
-    # "0", the 17 digits, "." and NUL: the sources of every layout
-    digits = np.empty((len(v), 20), dtype=np.uint8)
-    _digit_pairs(d.view(np.uint64), digits[:, :18].view(np.uint16), strip=False)
-    digits[:, 18:] = np.frombuffer(b".\0", np.uint8)
-    # one column gather for the commonest exponent, then one per other exponent
-    rows_per_x = np.bincount(x + 4, minlength=21)
-    common = int(rows_per_x.argmax())
-    out = digits[:, tables["layout"][common]]
-    for i in rows_per_x.nonzero()[0].tolist():
-        if i != common:
-            rows = (x == i - 4).nonzero()[0]
-            out[rows] = digits[rows][:, tables["layout"][i]]
-    # only a row whose last digit is 0, or whose 17 digits are all before the
-    # ".", ends in characters %g cuts: trailing fraction zeros and a bare "."
-    cut = ((d % 10 == 0) | (x == 16)).nonzero()[0]
-    significant = 17 - np.argmax(digits[cut, 17:0:-1] != ord("0"), axis=1)
-    xc = x[cut]
-    length = np.where(xc >= 0, np.where(significant <= xc + 1, xc + 1, significant + 1),
-                      1 - xc + significant)
-    trimmed = out[cut]
-    trimmed[np.arange(out.shape[1]) >= length[:, None]] = 0
-    out[cut] = trimmed
-    out = out[:, : 18 - min(0, int(x.min(initial=0)))]
-
-    slow = (~fast).nonzero()[0]
-    if slow.size:
-        text = ["%.17g" % f for f in values[slow].tolist()]
-        width = max(out.shape[1], max(map(len, text)))
-        out = np.pad(out, ((0, 0), (0, width - out.shape[1])))
-        out[slow] = np.frombuffer("".join(t.ljust(width, "\0") for t in text).encode(), np.uint8
-                                  ).reshape(len(slow), width)
-    return out
-
-
-def _bool_field(values: "numpy.ndarray") -> "numpy.ndarray":
-    return _csv_tables()["bools"][values.astype(bool).view("uint8")]
-
-
-_FIELDS = {"int": _int_field, "float": _float_field, "bool": _bool_field}
-
-
-def _csv_text(
-    kinds: Sequence[str],
-    cols: Sequence["numpy.ndarray"],
-    factors: Optional[Tuple["numpy.ndarray", "numpy.ndarray", "numpy.ndarray"]] = None,
-) -> str:
-    """The CSV text of a block of numpy columns, byte for byte the row template's.
-
-    kinds names each column's kind ("int", "float" or "bool").  Each field
-    is a NUL-padded row of one uint8 matrix, so the NUL-free bytes are the
-    text.  With factors = (counts, primes, exponents), the CSR
-    factorizations of polysieve.FactorColumns, row i's "p^e;...;p^e" goes
-    between its columns 1 and 2: one matrix row per factor, each n's rows
-    between its head and tail rows.
-    """
-    import numpy as np
-
-    fields = [_FIELDS[kind](col) for kind, col in zip(kinds, cols)]
-    if factors is None:
-        return _packed(_joined(fields, b"\n"))
-    counts, primes, exponents = factors
-    sep = np.full((len(primes), 1), ord(";"), dtype=np.uint8)
-    sep[np.cumsum(counts) - 1] = ord(",")
-    parts = [
-        _joined(fields[:2], b","),
-        np.hstack((_int_field(primes), np.full((len(primes), 1), ord("^"), np.uint8),
-                   _int_field(exponents), sep)),
-        _joined(fields[2:], b"\n"),
-    ]
-    # n = i owns a head row, its counts[i] factor rows and a tail row, from
-    # row 2i + (factors before i)
-    counts = counts.astype(np.intp)
-    owner = np.arange(len(counts))
-    head = 2 * owner + np.cumsum(counts) - counts
-    tail = head + counts + 1
-    factor = np.arange(len(primes)) + 2 * np.repeat(owner, counts) + 1
-    rows = np.zeros((len(counts) * 2 + len(primes), max(p.shape[1] for p in parts)), np.uint8)
-    for at, part in zip((head, factor, tail), parts):
-        rows[at, : part.shape[1]] = part
-    return _packed(rows)
-
-
-def _joined(fields: Sequence["numpy.ndarray"], end: bytes) -> "numpy.ndarray":
-    """The fields side by side, "," between them and end after the last."""
-    import numpy as np
-
-    out = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
-    at = 0
-    for field in fields:
-        out[:, at : at + field.shape[1]] = field
-        at += field.shape[1] + 1
-        out[:, at - 1] = ord(",")
-    out[:, -1] = end[0]
-    return out
-
-
-def _packed(matrix: "numpy.ndarray") -> str:
-    return matrix[matrix != 0].tobytes().decode("ascii")
-
-
-def _cut_blocks(blocks: Iterable[tuple], rows: int) -> Iterator[tuple]:
-    """Re-cut a stream of consecutive column blocks into blocks of at most rows rows.
-
-    A block is (lo, cols, flat): columns for n = lo, lo + 1, ..., and flat
-    columns of which row i owns the next cols[0][i] entries (flat may be
-    empty).  Long blocks are sliced into views and short ones joined, so the
-    kernel runs once per rows rows on a bounded block, whatever the segment
-    size.
-    """
-    import numpy as np
-
-    held, size = [], 0
-    for lo, cols, flat in blocks:
-        if flat:
-            ends = np.zeros(len(cols[0]) + 1, dtype=np.intp)
-            np.cumsum(cols[0], out=ends[1:])
-        start, width = 0, len(cols[0])
-        while start < width:
-            stop = min(width, start + rows - size)
-            owned = slice(ends[start], ends[stop]) if flat else None
-            held.append((lo + start, [c[start:stop] for c in cols], [f[owned] for f in flat]))
-            size += stop - start
-            start = stop
-            if size == rows:
-                yield _joined_blocks(held)
-                held, size = [], 0
-    if held:
-        yield _joined_blocks(held)
-
-
-def _joined_blocks(blocks: list) -> tuple:
-    import numpy as np
-
-    if len(blocks) == 1:
-        return blocks[0]
-    lo, cols, flat = zip(*blocks)
-    return lo[0], [np.concatenate(c) for c in zip(*cols)], [np.concatenate(f) for f in zip(*flat)]
 
 
 def _emit(args: argparse.Namespace, text: Iterable[str]) -> None:
@@ -485,15 +229,19 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
     if args.format == "csv":
         import numpy as np
 
+        from . import csvtext
+
         def text() -> Iterator[str]:
             yield _csv_header(columns)
             blocks = (
                 (c.lo, (c.counts, c.largest, c.exponent()), (c.primes, c.exponents))
                 for c in segments
             )
-            for lo, (counts, largest, exponent), factors in _cut_blocks(blocks, _ROWS_PER_WRITE):
+            for lo, (counts, largest, exponent), factors in csvtext.cut_blocks(
+                blocks, _ROWS_PER_WRITE
+            ):
                 ns = np.arange(lo, lo + len(counts), dtype=np.uint64)
-                yield _csv_text(
+                yield csvtext.csv_text(
                     ("int", "int", "int", "float"), (ns, ns * ns + 1, largest, exponent),
                     (counts, *factors),
                 )
@@ -523,12 +271,14 @@ def _cmd_records(args: argparse.Namespace) -> int:
     if args.format == "csv":
         import numpy as np
 
+        from . import csvtext
+
         def text() -> Iterator[str]:
             yield _csv_header(columns)
             blocks = ((b.lo, (b.largest, b.exponent, b.is_record), ()) for b in scan)
-            for lo, cols, _ in _cut_blocks(blocks, _ROWS_PER_WRITE):
+            for lo, cols, _ in csvtext.cut_blocks(blocks, _ROWS_PER_WRITE):
                 ns = np.arange(lo, lo + len(cols[0]), dtype=np.uint64)
-                yield _csv_text([kind for _, kind in columns], (ns, *cols))
+                yield csvtext.csv_text([kind for _, kind in columns], (ns, *cols))
 
         _emit(args, text())
         return 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadfactor
-from quadfactor import cli
+from quadfactor import cli, csvtext
 from quadfactor.cli import main
 from quadfactor.polysieve import sieve_columns
 
@@ -663,7 +663,7 @@ def test_block_emitter_matches_the_per_row_writer(data):
 def _kernel_lines(kind, values, dtype):
     import numpy as np
 
-    return cli._csv_text([kind], [np.array(values, dtype=dtype)]).splitlines()
+    return csvtext.csv_text([kind], [np.array(values, dtype=dtype)]).splitlines()
 
 
 def _bits_to_float(bits):
@@ -728,7 +728,7 @@ def test_csv_kernel_never_gets_more_rows_than_a_write(command, segment_size):
     # blocks are cut and joined across segments to at most _ROWS_PER_WRITE
     # rows, and the text does not depend on where the cuts fall
     argv = command.split() + ["--segment-size", str(segment_size), "--workers", "1"]
-    kernel = cli._csv_text
+    kernel = csvtext.csv_text
     for rows_per_write in (64, 1000, 1 << 16):
         seen = []
 
@@ -739,10 +739,24 @@ def test_csv_kernel_never_gets_more_rows_than_a_write(command, segment_size):
         out = io.StringIO()
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
             mp.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
-            mp.setattr(cli, "_csv_text", counting)
+            mp.setattr(csvtext, "csv_text", counting)
             assert main(argv) == 0
         assert max(seen) <= rows_per_write
         assert sum(seen) == out.getvalue().count("\n") - 1
         if rows_per_write == 64:
             first = out.getvalue()
         assert out.getvalue() == first
+
+
+def test_only_sieve_and_records_csv_load_the_csv_kernel():
+    # each request compiles what it imports, so the kernel is left to the
+    # two requests that run it
+    for argv, loads in (
+        (["--help"], False),
+        (["verify", "counts", "--trials", "5"], False),
+        (["records", "--n-max", "300", "--format", "jsonl"], False),
+        (["records", "--n-max", "300"], True),
+        (["sieve", "--lo", "2", "--hi", "300"], True),
+    ):
+        imported = _imported("-m", "quadfactor", *argv, "-o", os.devnull)
+        assert ("quadfactor.csvtext" in imported) == loads, argv
