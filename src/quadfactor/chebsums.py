@@ -76,15 +76,14 @@ class _ExactSum:
 def _prefix_sums(
     chunks: Iterable[Tuple["numpy.ndarray", Sequence["numpy.ndarray"]]],
     marks: Sequence[int],
-    width: int,
+    sums: Sequence[_ExactSum],
 ) -> list[Tuple[list[float], int]]:
     """Exact sums of term columns over p <= mark, for every mark ascending.
 
-    chunks yields (p, columns): p ascending across all chunks, and width
-    term arrays aligned with p.  Each snapshot holds the rounded sum of
-    every column over the p <= mark and the number of those p.
+    chunks yields (p, columns): p ascending across all chunks, and one term
+    array aligned with p per accumulator in sums, each added to what it
+    holds.  A snapshot holds every rounded value and the number of p <= mark.
     """
-    sums = [_ExactSum() for _ in range(width)]
     count = 0
     out: list[Tuple[list[float], int]] = []
     for p, columns in chunks:
@@ -105,7 +104,8 @@ def _prefix_sums(
 
 @dataclass(frozen=True, slots=True)
 class SumLedger:
-    """Everything evaluated for one (x, delta) pair."""
+    """Everything evaluated for one (x, delta) pair; n_trunc sums log p times
+    the count of n in (x, 2x] with p | n^2 + 1 over p <= cutoff."""
 
     x: int
     delta: float
@@ -116,6 +116,7 @@ class SumLedger:
     residual_R: float
     residual_S: float
     term_count: int
+    n_trunc: float
 
 
 def power_cutoff(x: int, delta: float, limit: Optional[int] = HI_MAX) -> int:
@@ -167,7 +168,7 @@ def mertens_prefixes(cutoffs: Sequence[int], q: int, a: int) -> list[float]:
             p = n0 + q * np.frombuffer(flags, np.bool_).nonzero()[0]
             yield p, [_logs(p) / p]
 
-    seen = {z: sums[0] for z, (sums, _) in zip(marks, _prefix_sums(chunks(), marks, 1))}
+    seen = {z: s[0] for z, (s, _) in zip(marks, _prefix_sums(chunks(), marks, [_ExactSum()]))}
     return [seen[z] for z in cutoffs]
 
 
@@ -175,12 +176,12 @@ def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
     """Evaluate the (x, delta) ledger for every delta, in input order.
 
     Every cutoff is validated before any work.  One ascending pass over the
-    root rows up to the largest cutoff forms, a chunk at a time, the mertens
-    terms log p / p and the fractional-part terms
-    ({(x-b)/p} + {(x+b)/p}) log p, and sums each exactly with a snapshot and
-    the term count as p passes each cutoff.  Each fractional part is the
-    exact residue over p, converted to float once per summand; R is 2x times
-    the mertens value.
+    root rows (p, b) up to the largest cutoff sums exactly, a chunk at a time,
+    log p / p (mertens; R is 2x times it), ({(x-b)/p} + {(x+b)/p}) log p (S),
+    each fractional part an exact residue over p made a float once, and
+    log p * inc(p) (n_trunc), inc(p) being rootcount's floor identity in int64,
+    with a snapshot and the term count as p passes each cutoff.  n_trunc also
+    holds the p = 2 term log 2 * floor(x/2), which term_count leaves out.
     """
     if x < 2:
         raise ValueError("x must be >= 2")
@@ -194,13 +195,16 @@ def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
         for rows in iter_root_rows(marks[-1]):
             p, b = rows.astype(np.int64).T
             logp = _logs(p)
-            yield p, [logp / p, ((x - b) % p / p + (x + b) % p / p) * logp]
+            inc = (2 * x - b) // p - (x - b) // p + (2 * x + b) // p - (x + b) // p
+            yield p, [logp / p, ((x - b) % p / p + (x + b) % p / p) * logp, logp * inc]
 
-    seen = dict(zip(marks, _prefix_sums(chunks(), marks, 2)))
+    sums = [_ExactSum() for _ in range(3)]
+    sums[2].add(np.array([math.log(2) * (x // 2)]))
+    seen = dict(zip(marks, _prefix_sums(chunks(), marks, sums)))
     xlogx = x * math.log(x)
     ledgers = []
     for delta, cutoff in zip(deltas, cutoffs):
-        (m, s_value), terms = seen[cutoff]
+        (m, s_value, n_trunc), terms = seen[cutoff]
         r_value = 2.0 * x * m
         ledgers.append(
             SumLedger(
@@ -213,6 +217,7 @@ def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
                 residual_R=r_value - (1.0 + delta) * xlogx,
                 residual_S=s_value - delta * xlogx,
                 term_count=terms,
+                n_trunc=n_trunc,
             )
         )
     return ledgers

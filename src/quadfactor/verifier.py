@@ -1,10 +1,10 @@
 """End-to-end checks tying the sieve output to the analytic sum machinery.
 
 The exact left side sum(log(n^2+1)) over (x, 2x] is reproduced from the
-factor sieve through the von Mangoldt identity, decomposed into a coverage
-curve by prime cutoff, and compared against the primary/secondary terms at
-each delta; each check reads the factor columns once, one segment at a
-time.  Anything asymptotic is measured and reported, never asserted.
+factor sieve through the von Mangoldt identity and split into a coverage
+curve by divisor cutoff; the truncated sum at each delta comes off the root
+rows with the primary/secondary terms.  Each check reads the factor columns
+once, a segment at a time.  Anything asymptotic is measured, never asserted.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ class ChainLedger:
     """One (x, delta) evaluation of the truncated-sum inequality chain.
 
     n_trunc sums log p * incidence(p) over primes up to the cutoff (the p = 2
-    term included); R + S covers the p = 1 (mod 4) classes through the
-    per-prime upper bound, so n_trunc <= R + S is the accumulated form of the
-    summand-wise bound.  margin compares R + S against the 2x log x main
-    term; margin_exact is its ground-truth analogue.  lambda_side, the sum
-    of e log p over every factor p^e, is lhs_exact but for log rounding.
+    term included), off the root rows; R + S covers the p = 1 (mod 4) classes
+    through the per-prime upper bound, so n_trunc <= R + S is the accumulated
+    form of the summand-wise bound.  margin compares R + S against the
+    2x log x main term; margin_exact is its ground-truth analogue.
+    lambda_side, the sum of e log p over every factor p^e from the sieve, is
+    lhs_exact but for log rounding.
     """
 
     x: int
@@ -211,34 +212,27 @@ def contradiction_probe(
     2x log x - (R+S) whose sign flip across delta is the contradiction
     mechanism, and the ground-truth margin lhs_exact - n_trunc.  Every delta
     is checked (range, then cutoff) before any work, and no delta means no
-    work.  The columns are read once: each segment adds its terms e log p
-    to lambda_side as it passes into the incidence cumulative, off which
-    n_trunc at each cutoff is read.
+    work.  The columns are read once, each segment adding its terms e log p
+    to lambda_side; n_trunc, R and S at every cutoff come from one
+    sum_ledger pass over the root rows, so no divisor key is held.
     """
     _check_x(x)
     if x < 2:
         raise ValueError("x must be >= 2")
-    cutoffs = []
     for delta in deltas:
         if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
-        cutoffs.append(power_cutoff(x, delta))
-    if not cutoffs:
+        power_cutoff(x, delta)
+    if not deltas:
         return []
     if columns is None:
         columns = iter_columns(x + 1, 2 * x, segment_size, workers)
     lam = _ExactSum()
-
-    def passing(columns):
-        for cols in columns:
-            lam.add(cols.exponents * _logs(cols.primes))
-            yield cols
-
-    keys, covered = _cumulative(passing(columns), max(cutoffs), False)
+    for cols in columns:
+        lam.add(cols.exponents * _logs(cols.primes))
     lhs_exact, lhs_main_term, lambda_side = lhs_logsum(x), 2.0 * x * math.log(x), lam.value()
     out = []
     for sums in sum_ledger(x, deltas):
-        n_trunc = _covered(keys, covered, sums.cutoff)
         out.append(
             ChainLedger(
                 x=x,
@@ -247,11 +241,11 @@ def contradiction_probe(
                 lambda_side=lambda_side,
                 delta=sums.delta,
                 cutoff=sums.cutoff,
-                n_trunc=n_trunc,
+                n_trunc=sums.n_trunc,
                 R=sums.R,
                 S=sums.S,
                 margin=lhs_main_term - (sums.R + sums.S),
-                margin_exact=lhs_exact - n_trunc,
+                margin_exact=lhs_exact - sums.n_trunc,
             )
         )
     return out

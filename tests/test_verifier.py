@@ -2,13 +2,15 @@ import gc
 import math
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
 from quadfactor import verifier
 from quadfactor.chebsums import power_cutoff, sum_ledger
+from quadfactor.cli import main
 from quadfactor.modmath import iter_primes, sqrt_minus_one
-from quadfactor.polysieve import divisor_incidence, sieve_columns
+from quadfactor.polysieve import divisor_incidence, iter_columns, sieve_columns
 from quadfactor.rootcount import count_in_class, count_root_classes
 from quadfactor.verifier import (
     contradiction_probe,
@@ -173,11 +175,14 @@ def test_contradiction_probe_truncated_bound():
         assert led.cutoff == power_cutoff(10**3, delta)
 
 
-def test_contradiction_probe_reads_each_cutoff_off_one_pass():
-    # n_trunc against math.fsum of its terms per cutoff, R and S against
-    # single-delta ledgers: bit for bit
-    x = 700
-    columns = [sieve_columns(x + 1, 2 * x)]
+@pytest.mark.parametrize("segment_size", [1, 7, None])
+@pytest.mark.parametrize("x", [2, 3, 700, 1001])
+def test_contradiction_probe_reads_each_cutoff_off_one_pass(x, segment_size):
+    # n_trunc, read off the root rows, against math.fsum of the sieve-side
+    # incidence terms per cutoff, R and S against single-delta ledgers: bit
+    # for bit, whatever the segments the columns are cut into
+    kwargs = {} if segment_size is None else {"segment_size": segment_size}
+    columns = list(iter_columns(x + 1, 2 * x, **kwargs))
     deltas = [0.4, 0.0, 1.0, 0.1, 0.4]
     for led in contradiction_probe(x, deltas, columns=columns):
         keys, counts, _ = divisor_incidence(columns, led.cutoff, False)
@@ -215,6 +220,22 @@ def test_column_consumers_hold_at_most_one_segment(consume):
     consume(segments())
     assert len(refs) == 11
     assert max(alive) <= 1, alive
+
+
+def test_chain_builds_no_divisor_key(monkeypatch, capsys):
+    # n_trunc comes off the root rows, so neither the library call nor the
+    # chain subcommand reaches the divisor keys that coverage is built from
+    def no_keys(*args, **kwargs):
+        raise RuntimeError("divisor keys built")
+
+    monkeypatch.setattr(verifier, "divisor_incidence", no_keys)
+    monkeypatch.setattr(verifier, "_cumulative", no_keys)
+    deltas = [0.5, 0.0, 1.0]
+    assert [led.delta for led in contradiction_probe(1000, deltas)] == deltas
+    argv = ["chain", "--x", "2500", "--delta-grid", "0.5,0,0.25,0.25,1.0", "--workers", "1"]
+    assert main(argv) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "chain_csv.stdout"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_contradiction_probe_validates_every_delta_before_any_work(monkeypatch):
