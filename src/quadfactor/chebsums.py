@@ -102,6 +102,11 @@ def _prefix_sums(
     return out + [final] * (len(marks) - len(out))
 
 
+def _incidence(x: int, p: "numpy.ndarray", b: "numpy.ndarray") -> "numpy.ndarray":
+    """rootcount.count_by_floor_identity over int64 root rows (p, b)."""
+    return (2 * x - b) // p - (x - b) // p + (2 * x + b) // p - (x + b) // p
+
+
 @dataclass(frozen=True, slots=True)
 class SumLedger:
     """Everything evaluated for one (x, delta) pair; n_trunc sums log p times
@@ -179,7 +184,7 @@ def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
     root rows (p, b) up to the largest cutoff sums exactly, a chunk at a time,
     log p / p (mertens; R is 2x times it), ({(x-b)/p} + {(x+b)/p}) log p (S),
     each fractional part an exact residue over p made a float once, and
-    log p * inc(p) (n_trunc), inc(p) being rootcount's floor identity in int64,
+    log p * inc(p) (n_trunc), inc(p) being _incidence's floor identity,
     with a snapshot and the term count as p passes each cutoff.  n_trunc also
     holds the p = 2 term log 2 * floor(x/2), which term_count leaves out.
     """
@@ -195,7 +200,7 @@ def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
         for rows in iter_root_rows(marks[-1]):
             p, b = rows.astype(np.int64).T
             logp = _logs(p)
-            inc = (2 * x - b) // p - (x - b) // p + (2 * x + b) // p - (x + b) // p
+            inc = _incidence(x, p, b)
             yield p, [logp / p, ((x - b) % p / p + (x + b) % p / p) * logp, logp * inc]
 
     sums = [_ExactSum() for _ in range(3)]

@@ -19,8 +19,8 @@ p^e at every hit leaves.
 The pass returns FactorColumns, a CSR layout: counts[i] factors for
 n = lo + i, stored flat in primes/exponents in ascending order (2 first for
 odd n, then the sieved primes, then the residual prime), and largest[i],
-the last of them.  Every consumer reads the columns: the interval
-reductions, the records scan and the CLI's sieve and records output.
+the last of them.  The sieve output and chain's von Mangoldt side read every
+factor; records, probe and coverage read largest, coverage also e >= 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import collections
 import itertools
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Tuple
+from typing import TYPE_CHECKING, Iterator, Tuple
 
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
 
@@ -253,37 +253,3 @@ def records_scan(
             is_record=largest > running[:-1],
         )
 
-
-def divisor_incidence(
-    columns: Iterable[FactorColumns], y_cutoff: int, count_prime_powers: bool
-) -> Tuple["numpy.ndarray", "numpy.ndarray", "numpy.ndarray"]:
-    """(keys ascending, incidences, base primes) of the divisor keys <= y_cutoff.
-
-    A prime key p counts the n it divides, whatever the multiplicity; with
-    count_prime_powers each power p^k <= y_cutoff dividing n^2+1 is a key
-    of its own, with base prime p.
-    """
-    import numpy as np
-
-    y = np.uint64(min(max(y_cutoff, 0), 2**64 - 1))
-    keys, bases = [], []
-    for cols in columns:
-        keep = cols.primes <= y
-        power = base = cols.primes[keep]
-        keys.append(power)
-        bases.append(base)
-        # p^k divides n^2+1 < 2^63 for k <= e, so the powers stay exact
-        left = cols.exponents[keep].astype(np.int64) - 1
-        while count_prime_powers and left.any():
-            more = left > 0
-            power, base, left = power[more] * base[more], base[more], left[more] - 1
-            fits = power <= y
-            power, base, left = power[fits], base[fits], left[fits]
-            keys.append(power)
-            bases.append(base)
-    if not keys:
-        return np.zeros(0, np.uint64), np.zeros(0, np.int64), np.zeros(0, np.uint64)
-    uniq, first, counts = np.unique(
-        np.concatenate(keys), return_index=True, return_counts=True
-    )
-    return uniq, counts, np.concatenate(bases)[first]

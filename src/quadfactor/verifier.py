@@ -2,9 +2,10 @@
 
 The exact left side sum(log(n^2+1)) over (x, 2x] is reproduced from the
 factor sieve through the von Mangoldt identity and split into a coverage
-curve by divisor cutoff; the truncated sum at each delta comes off the root
-rows with the primary/secondary terms.  Each check reads the factor columns
-once, a segment at a time.  Anything asymptotic is measured, never asserted.
+curve by divisor cutoff; both the truncated sums and the curve count the
+primes up to 2x by the floor identity over the root rows.  Each check reads
+the factor columns once, a segment at a time.  Anything asymptotic is
+measured, never asserted.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
-from .chebsums import _ExactSum, power_cutoff, sum_ledger
-from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs
-from .polysieve import FactorColumns, divisor_incidence, iter_columns
+from .chebsums import _ExactSum, _incidence, power_cutoff, sum_ledger
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, root_table
+from .polysieve import FactorColumns, iter_columns
 
 if TYPE_CHECKING:
     import numpy
@@ -57,10 +58,10 @@ class CoverageCurve:
     """Cumulative share of sum(log(n^2+1)) explained by divisors up to y.
 
     points holds (y, C, rho) at the delta grid cutoffs y = x^(1+delta) plus
-    the terminal y = 4x^2+1.  The exact curve is two arrays from the one walk
-    of the columns: every divisor key d ascending in keys (uint64), and C(d)
-    at the same index in covered (float64).  delta_star is
-    delta_star_at(tail_tolerance).  Curves compare by identity.
+    the terminal y = 4x^2+1.  The exact curve is two arrays from the root rows
+    up to 2x and one walk of the columns: every divisor key d ascending in
+    keys (uint64), and C(d) at the same index in covered (float64).
+    delta_star is delta_star_at(tail_tolerance).  Curves compare by identity.
     """
 
     x: int
@@ -126,11 +127,18 @@ def lhs_logsum(x: int) -> float:
 
 
 def _cumulative(
-    columns: Iterable[FactorColumns], top: int, with_prime_powers: bool
+    x: int, columns: Iterable[FactorColumns], with_prime_powers: bool
 ) -> Tuple["numpy.ndarray", "numpy.ndarray"]:
-    """(keys, C): every divisor key d <= top, ascending, and C(d) at the same
-    index, the exact sum of log p * incidence over the keys up to d, rounded
-    once (a power key p^k weighs log p, not log d).
+    """(keys, C): every divisor key d of some n^2+1 over (x, 2x], ascending,
+    and C(d) at the same index, the exact sum of log p * incidence over the
+    keys up to d, rounded once (a power key p^k weighs log p, not log d).
+
+    For n <= 2x, n^2+1 has at most one prime factor above 2x: its largest,
+    with exponent 1.  So a prime p <= 2x comes off root_table(2x) with its
+    floor-identity count (p = 2 counts the floor(x/2) odd n), and a zero
+    count is dropped; the primes above 2x are the values largest > 2x of
+    the columns, and with prime powers each p^k, 2 <= k <= e, comes from a
+    factor p^e with e >= 2.  One np.unique counts those last two.
 
     Every term is at least log 2 > 1/2, so it is an integer multiple of
     2^-53: its integer part and its fraction in units of 2^-53 (split in
@@ -140,8 +148,30 @@ def _cumulative(
     """
     import numpy as np
 
-    keys, counts, bases = divisor_incidence(columns, top, with_prime_powers)
-    terms = _logs(bases) * counts
+    keys, bases = [np.zeros(0, np.uint64)], [np.zeros(0, np.uint64)]
+    for cols in columns:
+        big = cols.largest[cols.largest > np.uint64(2 * x)]
+        keys.append(big)
+        bases.append(big)
+        # p^k divides n^2+1 < 2^63 for k <= e, so the powers stay exact
+        more = cols.exponents >= 2
+        base, power, left = cols.primes[more], cols.primes[more], cols.exponents[more]
+        while with_prime_powers and base.size:
+            power = power * base
+            keys.append(power)
+            bases.append(base)
+            more = left > 2
+            base, power, left = base[more], power[more], left[more] - 1
+    uniq, first, counts = np.unique(np.concatenate(keys), return_index=True, return_counts=True)
+    table = [rows.astype(np.int64).T for rows in root_table(2 * x)]
+    primes = np.concatenate([[2]] + [p for p, _ in table]).astype(np.uint64)
+    inc = np.concatenate([[x // 2]] + [_incidence(x, p, b) for p, b in table])
+    hit = inc > 0
+    keys = np.concatenate((primes[hit], uniq))
+    terms = _logs(np.concatenate((primes[hit], np.concatenate(bases)[first])))
+    terms *= np.concatenate((inc[hit], counts))
+    order = keys.argsort(kind="stable")
+    keys, terms = keys[order], terms[order]
     whole = np.floor(terms)
     units = np.ldexp(terms - whole, 53).astype(np.int64)
     whole = np.cumsum(whole.astype(np.int64))
@@ -151,14 +181,6 @@ def _cumulative(
     whole += high >> 27
     fraction = ((high & _HIGH_MASK) << 26) | (low & _LOW_MASK)
     return keys, whole + np.ldexp(fraction.astype(np.float64), -53)
-
-
-def _covered(keys: "numpy.ndarray", covered: "numpy.ndarray", y: int) -> float:
-    """C(y): the curve at the last key d <= y, 0.0 below the first."""
-    import numpy as np
-
-    idx = int(keys.searchsorted(np.uint64(y), side="right"))
-    return float(covered[idx - 1]) if idx else 0.0
 
 
 def coverage_curve(
@@ -171,21 +193,25 @@ def coverage_curve(
 ) -> CoverageCurve:
     """Accumulate C(y) = sum(log p * incidence(d)) over divisors d <= y.
 
-    Primes up to 2x enter through their sieve incidence; larger primes enter
-    through each n's residual (several n may share one residual prime, and
-    each occurrence counts).  The curve keeps every key and its cumulative
-    value, so delta_star at any tolerance comes from this one evaluation.
+    Primes up to 2x enter with their floor-identity count; larger primes as
+    each n's largest prime factor (several n may share it, and each counts),
+    and p^k from each factor p^e, 2 <= k <= e.  The curve keeps every key
+    and its C, so delta_star at any tolerance comes from this one evaluation.
     """
     _check_x(x)
     _check_tolerance(tail_tolerance)
+    import numpy as np
+
     top = 4 * x * x + 1
     if columns is None:
         columns = iter_columns(x + 1, 2 * x, segment_size, workers)
-    keys, covered = _cumulative(columns, top, with_prime_powers)
+    keys, covered = _cumulative(x, columns, with_prime_powers)
     total = lhs_logsum(x)
     points = []
     for y in [min(power_cutoff(x, delta, limit=None), top) for delta in DELTA_GRID] + [top]:
-        c = _covered(keys, covered, y)
+        # C(y) is the curve at the last key d <= y, 0.0 below the first
+        idx = int(keys.searchsorted(np.uint64(y), side="right"))
+        c = float(covered[idx - 1]) if idx else 0.0
         points.append((y, c, c / total if total else 0.0))
     return CoverageCurve(
         x=x,

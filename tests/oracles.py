@@ -6,7 +6,9 @@ plain trial division, Hensel lifts of the roots of -1 to prime powers, and
 a single-value factorer of n^2 + 1 that shares only the primality test with
 the package.  The per-n record type lives here too: the factorer returns a
 FactorizationRecord, and records_of builds the same records from the
-package's factor columns, so the two compare per n.
+package's factor columns, so the two compare per n.  divisor_incidence
+counts every divisor key of the columns with one np.unique, the route the
+coverage curve is checked against.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 from quadfactor.chebsums import power_cutoff
 from quadfactor.modmath import HI_MAX, U64_MAX, RootPair, is_prime
@@ -45,6 +48,41 @@ def records_of(columns: FactorColumns) -> list[FactorizationRecord]:
             itertools.count(columns.lo), columns.counts.tolist(), columns.largest.tolist()
         )
     ]
+
+
+def divisor_incidence(
+    columns: Iterable[FactorColumns], y_cutoff: int, count_prime_powers: bool
+) -> Tuple["numpy.ndarray", "numpy.ndarray", "numpy.ndarray"]:
+    """(keys ascending, incidences, base primes) of the divisor keys <= y_cutoff.
+
+    A prime key p counts the n it divides, whatever the multiplicity; with
+    count_prime_powers each power p^k <= y_cutoff dividing n^2+1 is a key
+    of its own, with base prime p.
+    """
+    import numpy as np
+
+    y = np.uint64(min(max(y_cutoff, 0), 2**64 - 1))
+    keys, bases = [], []
+    for cols in columns:
+        keep = cols.primes <= y
+        power = base = cols.primes[keep]
+        keys.append(power)
+        bases.append(base)
+        # p^k divides n^2+1 < 2^63 for k <= e, so the powers stay exact
+        left = cols.exponents[keep].astype(np.int64) - 1
+        while count_prime_powers and left.any():
+            more = left > 0
+            power, base, left = power[more] * base[more], base[more], left[more] - 1
+            fits = power <= y
+            power, base, left = power[fits], base[fits], left[fits]
+            keys.append(power)
+            bases.append(base)
+    if not keys:
+        return np.zeros(0, np.uint64), np.zeros(0, np.int64), np.zeros(0, np.uint64)
+    uniq, first, counts = np.unique(
+        np.concatenate(keys), return_index=True, return_counts=True
+    )
+    return uniq, counts, np.concatenate(bases)[first]
 
 
 @dataclass(frozen=True, slots=True)

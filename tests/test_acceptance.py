@@ -15,11 +15,11 @@ import sympy
 from quadfactor.chebsums import mertens_prefixes, power_cutoff
 from quadfactor.cli import main
 from quadfactor.modmath import iter_primes, sqrt_minus_one
-from quadfactor.polysieve import divisor_incidence, records_scan, sieve_columns
+from quadfactor.polysieve import records_scan, sieve_columns
 from quadfactor.rootcount import count_by_floor_identity, count_exact, count_upper_bound
 from quadfactor.verifier import contradiction_probe, coverage_curve
 
-from oracles import factorize_value, records_of, trial_division_factor
+from oracles import divisor_incidence, factorize_value, records_of, trial_division_factor
 
 
 class _Criterion:

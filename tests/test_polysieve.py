@@ -15,7 +15,6 @@ from quadfactor.cli import main
 from quadfactor.modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, iter_primes
 from quadfactor.polysieve import (
     FactorColumns,
-    divisor_incidence,
     iter_columns,
     records_scan,
     sieve_columns,
@@ -26,6 +25,7 @@ from quadfactor.modmath import sqrt_minus_one
 
 from oracles import (
     FactorizationRecord,
+    divisor_incidence,
     factorize_value,
     hensel_lift,
     largest_prime_factor,

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -10,7 +11,7 @@ from quadfactor import verifier
 from quadfactor.chebsums import power_cutoff, sum_ledger
 from quadfactor.cli import main
 from quadfactor.modmath import iter_primes, sqrt_minus_one
-from quadfactor.polysieve import divisor_incidence, iter_columns, sieve_columns
+from quadfactor.polysieve import iter_columns, sieve_columns
 from quadfactor.rootcount import count_in_class, count_root_classes
 from quadfactor.verifier import (
     contradiction_probe,
@@ -19,7 +20,7 @@ from quadfactor.verifier import (
     largest_prime_probe,
 )
 
-from oracles import hensel_lift, trial_division_factor
+from oracles import divisor_incidence, hensel_lift, trial_division_factor
 
 
 def _key_terms(x, with_prime_powers, top=None):
@@ -138,6 +139,26 @@ def test_reductions_equal_fsum_of_their_terms(segment_size):
             assert c == math.fsum(t for _, t in keys[: k + 1])
 
 
+@pytest.mark.parametrize(
+    "x, segment_size",
+    [(x, s) for x in (1, 2, 3, 1000, 30011) for s in (7, None)]
+    + [(x, 1) for x in (1, 2, 3, 1000)]
+    # 2x past 2^20, the end of the first root-table chunk
+    + [(2**19 + 11, None)],
+)
+@pytest.mark.parametrize("powers", [False, True])
+def test_coverage_curve_equals_the_key_route(x, segment_size, powers):
+    # the key route counts every divisor key of the columns with np.unique;
+    # each term t = fl(log p * count) is at least log 2, so t * 2^53 is an
+    # integer and the int prefix sums over 2^53 are the correctly rounded C
+    kwargs = {} if segment_size is None else {"segment_size": segment_size}
+    curve = coverage_curve(x, with_prime_powers=powers, **kwargs)
+    keys, counts, bases = divisor_incidence(iter_columns(x + 1, 2 * x), 4 * x * x + 1, powers)
+    units = (int(math.log(p) * c * 2**53) for p, c in zip(bases.tolist(), counts.tolist()))
+    assert curve.keys.tolist() == keys.tolist()
+    assert curve.covered.tolist() == [u / 2**53 for u in itertools.accumulate(units)]
+
+
 def _delta_star_by_scan(curve, tol):
     """The linear scan delta_star_at replaced: first C >= (1 - tol) * total."""
     threshold = (1.0 - tol) * curve.total
@@ -228,7 +249,6 @@ def test_chain_builds_no_divisor_key(monkeypatch, capsys):
     def no_keys(*args, **kwargs):
         raise RuntimeError("divisor keys built")
 
-    monkeypatch.setattr(verifier, "divisor_incidence", no_keys)
     monkeypatch.setattr(verifier, "_cumulative", no_keys)
     deltas = [0.5, 0.0, 1.0]
     assert [led.delta for led in contradiction_probe(1000, deltas)] == deltas
