@@ -41,12 +41,14 @@ class _ExactSum:
     folded into one Python int at a fixed scale.  value() is that int over
     2^scale, and int/int true division is correctly rounded, so the result
     equals math.fsum of the same terms whatever their order or chunking.
+    total is that int: the totals of two sums add up to the total of their
+    terms together, so a sum split across processes is joined exactly.
     """
 
-    __slots__ = ("_total",)
+    __slots__ = ("total",)
 
-    def __init__(self) -> None:
-        self._total = 0
+    def __init__(self, total: int = 0) -> None:
+        self.total = total
 
     def add(self, terms: "numpy.ndarray") -> None:
         """Add every element of a float64 array; all must be finite."""
@@ -64,13 +66,13 @@ class _ExactSum:
         np.add.at(high, bins, mant >> _LIMB_BITS)
         np.add.at(low, bins, mant & _LIMB_MASK)
         used = np.flatnonzero(high | low)
-        self._total += sum(
+        self.total += sum(
             ((h << _LIMB_BITS) + lo) << k
             for k, h, lo in zip(used.tolist(), high[used].tolist(), low[used].tolist())
         )
 
     def value(self) -> float:
-        return self._total / _SCALE
+        return self.total / _SCALE
 
 
 def _prefix_sums(

@@ -16,11 +16,18 @@ Exponents are read off the original values n^2 + 1 (below 2^63 for
 hi <= 2^31, so uint64 is exact) and the residuals are what one division by
 p^e at every hit leaves.
 
-The pass returns FactorColumns, a CSR layout: counts[i] factors for
-n = lo + i, stored flat in primes/exponents in ascending order (2 first for
-odd n, then the sieved primes, then the residual prime), and largest[i],
-the last of them.  The sieve output and chain's von Mangoldt side read every
-factor; records, probe and coverage read largest, coverage also e >= 2.
+That pass, the hit core (_sieve_hits), gives every hit as a position, a
+prime and its exponent, plus the residual of every n, and audits a sample
+of the residuals.  Each consumer then takes one layout of it, built where
+the segment is sieved:
+- sieve_columns, the CSR layout FactorColumns: counts[i] factors for
+  n = lo + i, stored flat in primes/exponents in ascending order (2 first
+  for odd n, then the sieved primes, then the residual prime), and
+  largest[i], the last of them.  Only the sieve output reads it;
+- largest_column, P(n^2 + 1) alone, for records and probe;
+- divisor_keys, the residuals above a bound and the prime powers p^k,
+  2 <= k <= e, for coverage;
+- log_total, the exact sum of e log p over every factor, for chain.
 """
 
 from __future__ import annotations
@@ -29,13 +36,14 @@ import collections
 import itertools
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, Tuple, TypeVar
 
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
 
 if TYPE_CHECKING:
     import numpy
 _RESIDUAL_SPOT_CHECK_STRIDE = 4093  # sampled primality audit of residuals
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,10 +65,14 @@ class FactorColumns:
 
     def exponent(self) -> "numpy.ndarray":
         """log P(n^2 + 1) / log n for each n (lo >= 2), by modmath._logs, as float64."""
-        import numpy as np
+        return _exponent(self.lo, self.largest)
 
-        ns = np.arange(self.lo, self.lo + len(self.largest), dtype=np.int64)
-        return _logs(self.largest) / _logs(ns)
+
+def _exponent(lo: int, largest: "numpy.ndarray") -> "numpy.ndarray":
+    """log largest[i] / log(lo + i) for each i (lo >= 2), as float64."""
+    import numpy as np
+
+    return _logs(largest) / _logs(np.arange(lo, lo + len(largest), dtype=np.int64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +123,17 @@ def _root_hits(
     return np.concatenate(offsets), np.concatenate(primes).astype(np.uint64)
 
 
-def sieve_columns(lo: int, hi: int) -> FactorColumns:
-    """Factor n^2 + 1 for every n in [lo, hi] in one numpy pass."""
+def _sieve_hits(
+    lo: int, hi: int
+) -> Tuple["numpy.ndarray", "numpy.ndarray", "numpy.ndarray", "numpy.ndarray"]:
+    """The hit core of [lo, hi]: (pos, p, e, residual) in one numpy pass.
+
+    Hit j is p[j]^e[j] exactly dividing n^2 + 1 at n = lo + pos[j] (int64,
+    uint64, uint8), p ascending (2 at the odd n first, then the table rows);
+    residual[i] (uint64) is what is left of n^2 + 1 at n = lo + i, 1 or a
+    prime above hi.  A sample of the residuals above 1 is audited with
+    is_prime.
+    """
     if lo < 1 or lo > hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > HI_MAX:
@@ -143,13 +164,22 @@ def sieve_columns(lo: int, hi: int) -> FactorColumns:
         r = int(residual[i])
         if not is_prime(r):
             raise AssertionError(f"residual {r} at n={lo + i} is not prime")
+    return pos, p, e, residual
+
+
+def sieve_columns(lo: int, hi: int) -> FactorColumns:
+    """Factor n^2 + 1 for every n in [lo, hi] into the CSR layout."""
+    pos, p, e, residual = _sieve_hits(lo, hi)
+    import numpy as np
+
+    big = (residual > 1).nonzero()[0]
     # the residual goes after the sieved primes of its n; a stable sort by
     # position keeps every n's primes in the ascending order they came in
     pos = np.concatenate((pos, big))
     order = pos.argsort(kind="stable")
     primes = np.concatenate((p, residual[big]))[order]
     exponents = np.concatenate((e, np.ones(len(big), dtype=np.uint8)))[order]
-    counts = np.bincount(pos, minlength=width)
+    counts = np.bincount(pos, minlength=len(residual))
     return FactorColumns(
         lo=lo,
         counts=counts.astype(np.uint8),
@@ -159,21 +189,82 @@ def sieve_columns(lo: int, hi: int) -> FactorColumns:
     )
 
 
+def largest_column(lo: int, hi: int) -> "numpy.ndarray":
+    """P(n^2 + 1) for every n in [lo, hi], uint64, as sieve_columns' largest."""
+    pos, p, _, largest = _sieve_hits(lo, hi)
+    import numpy as np
+
+    # a residual above 1 is a prime above hi, so above every sieved prime of
+    # its n; where it is 1 the largest sieved prime takes its place
+    np.maximum.at(largest, pos, p)
+    return largest
+
+
+def divisor_keys(
+    lo: int, hi: int, bound: int, with_prime_powers: bool
+) -> Tuple["numpy.ndarray", "numpy.ndarray"]:
+    """(keys, bases), uint64: the divisor keys above the sieved primes.
+
+    For a bound at least hi and 2, so above every sieved prime, the keys are
+    every residual prime above bound, one per n it divides, then with prime
+    powers each p^k, 2 <= k <= e, of every sieved factor p^e; bases[j] is
+    the prime that keys[j] is a power of.
+    """
+    _, p, e, residual = _sieve_hits(lo, hi)
+    import numpy as np
+
+    big = residual[residual > np.uint64(bound)]
+    keys, bases = [big], [big]
+    more = e >= 2
+    base, power, left = p[more], p[more], e[more]
+    while with_prime_powers and base.size:
+        # p^k divides n^2+1 < 2^63 for k <= e, so the powers stay exact
+        power = power * base
+        keys.append(power)
+        bases.append(base)
+        more = left > 2
+        base, power, left = base[more], power[more], left[more] - 1
+    return np.concatenate(keys), np.concatenate(bases)
+
+
+def log_total(lo: int, hi: int) -> int:
+    """The sum of e log p over every factor p^e of n^2 + 1, n in [lo, hi],
+    as chebsums._ExactSum's exact integer total: the totals of any split of
+    an interval add up to the total of the whole."""
+    _, p, e, residual = _sieve_hits(lo, hi)
+    import numpy as np
+
+    from .chebsums import _ExactSum
+
+    # p ascends, so each prime's log is taken once and repeated over its hits
+    new = np.ones(len(p), dtype=bool)
+    new[1:] = p[1:] != p[:-1]
+    acc = _ExactSum()
+    acc.add(e * _logs(p[new])[np.cumsum(new) - 1])
+    acc.add(_logs(residual[residual > 1]))
+    return acc.total
+
+
 def iter_columns(
     lo: int,
     hi: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-) -> Iterator[FactorColumns]:
-    """Stream the factor columns of [lo, hi], one per segment, ascending.
+    reduce: Callable[[int, int], T] = sieve_columns,
+) -> Iterator[T]:
+    """Stream reduce(s, t) over the segments [s, t] of [lo, hi], ascending.
 
-    Segments are independent work units; with workers > 1 they run in a
-    process pool and are re-sequenced by segment index, so the stream is
-    identical for any worker count.  The root table for hi is built once,
-    before the pool forks, so workers inherit it.  The pool starts no more
-    processes than the CPUs this process may run on (_usable_cpus), and at
-    most twice that many segments are submitted ahead of the consumer, so
-    the results held in memory are bounded for any worker count.
+    reduce is a layout of the hit core (sieve_columns by default), or a
+    consumer's reduction of one; it runs where the segment is sieved, so
+    only what it returns leaves the segment.  Segments are independent work
+    units; with workers > 1 they run in a fork pool, which pickles reduce
+    and each result, and are re-sequenced by segment index, so the stream
+    is identical for any worker count.  The root table for hi is built
+    once, before the pool forks, so workers inherit it.  The pool starts no
+    more processes than the CPUs this process may run on (_usable_cpus),
+    and at most twice that many segments are submitted ahead of the
+    consumer, so the results held in memory are bounded for any worker
+    count.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
@@ -187,7 +278,7 @@ def iter_columns(
     root_table(hi)
     if workers == 1 or len(bounds) <= 1:
         for seg in bounds:
-            yield sieve_columns(*seg)
+            yield reduce(*seg)
         return
     import concurrent.futures
     import multiprocessing
@@ -199,15 +290,15 @@ def iter_columns(
     ) as pool:
         todo = iter(bounds)
         pending = collections.deque(
-            pool.submit(sieve_columns, *seg) for seg in itertools.islice(todo, 2 * workers)
+            pool.submit(reduce, *seg) for seg in itertools.islice(todo, 2 * workers)
         )
         try:
             while pending:
-                columns = pending.popleft().result()
+                result = pending.popleft().result()
                 seg = next(todo, None)
                 if seg is not None:
-                    pending.append(pool.submit(sieve_columns, *seg))
-                yield columns
+                    pending.append(pool.submit(reduce, *seg))
+                yield result
         finally:
             for future in pending:
                 future.cancel()
@@ -223,6 +314,12 @@ def _usable_cpus() -> int:
 
 
 # --- interval-level reductions ----------------------------------------------
+
+
+def _record_columns(lo: int, hi: int) -> Tuple["numpy.ndarray", "numpy.ndarray"]:
+    """(largest, exponent) of [lo, hi], records_scan's per-segment reduction."""
+    largest = largest_column(lo, hi)
+    return largest, _exponent(lo, largest)
 
 
 def records_scan(
@@ -241,15 +338,12 @@ def records_scan(
     import numpy as np
 
     best = np.zeros(1, dtype=np.uint64)
-    for columns in iter_columns(2, n_max, segment_size, workers):
-        largest = columns.largest
+    lo = 2
+    for largest, exponent in iter_columns(2, n_max, segment_size, workers, _record_columns):
         # running[i] is the maximum before n = lo + i; running[-1] after the segment
         running = np.maximum.accumulate(np.concatenate((best, largest)))
         best = running[-1:]
         yield RecordBlock(
-            lo=columns.lo,
-            largest=largest,
-            exponent=columns.exponent(),
-            is_record=largest > running[:-1],
+            lo=lo, largest=largest, exponent=exponent, is_record=largest > running[:-1]
         )
-
+        lo += len(largest)

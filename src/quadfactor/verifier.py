@@ -3,20 +3,24 @@
 The exact left side sum(log(n^2+1)) over (x, 2x] is reproduced from the
 factor sieve through the von Mangoldt identity and split into a coverage
 curve by divisor cutoff; both the truncated sums and the curve count the
-primes up to 2x by the floor identity over the root rows.  Each check reads
-the factor columns once, a segment at a time.  Anything asymptotic is
-measured, never asserted.
+primes up to 2x by the floor identity over the root rows.  Each check
+sieves (x, 2x] once, a segment at a time, and takes from each segment only
+what it reads, reduced where the segment is sieved (in a pool worker with
+workers > 1): probe a (maximum, first n) pair, coverage the divisor keys
+above 2x, chain one exact integer for the von Mangoldt side.  Anything
+asymptotic is measured, never asserted.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .chebsums import _ExactSum, _incidence, power_cutoff, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, root_table
-from .polysieve import FactorColumns, iter_columns
+from .polysieve import divisor_keys, iter_columns, largest_column, log_total
 
 if TYPE_CHECKING:
     import numpy
@@ -36,8 +40,8 @@ class ChainLedger:
     through the per-prime upper bound, so n_trunc <= R + S is the accumulated
     form of the summand-wise bound.  margin compares R + S against the
     2x log x main term; margin_exact is its ground-truth analogue.
-    lambda_side, the sum of e log p over every factor p^e from the sieve, is
-    lhs_exact but for log rounding.
+    lambda_side, the sum of e log p over every factor p^e from the sieve,
+    summed exactly, is lhs_exact but for log rounding.
     """
 
     x: int
@@ -127,7 +131,7 @@ def lhs_logsum(x: int) -> float:
 
 
 def _cumulative(
-    x: int, columns: Iterable[FactorColumns], with_prime_powers: bool
+    x: int, with_prime_powers: bool, segment_size: int, workers: int
 ) -> Tuple["numpy.ndarray", "numpy.ndarray"]:
     """(keys, C): every divisor key d of some n^2+1 over (x, 2x], ascending,
     and C(d) at the same index, the exact sum of log p * incidence over the
@@ -136,9 +140,9 @@ def _cumulative(
     For n <= 2x, n^2+1 has at most one prime factor above 2x: its largest,
     with exponent 1.  So a prime p <= 2x comes off root_table(2x) with its
     floor-identity count (p = 2 counts the floor(x/2) odd n), and a zero
-    count is dropped; the primes above 2x are the values largest > 2x of
-    the columns, and with prime powers each p^k, 2 <= k <= e, comes from a
-    factor p^e with e >= 2.  One np.unique counts those last two.
+    count is dropped; the primes above 2x and, with prime powers, each p^k,
+    2 <= k <= e, of a factor p^e come from the sieve as divisor_keys.  One
+    np.unique counts those last two.
 
     Every term is at least log 2 > 1/2, so it is an integer multiple of
     2^-53: its integer part and its fraction in units of 2^-53 (split in
@@ -148,20 +152,8 @@ def _cumulative(
     """
     import numpy as np
 
-    keys, bases = [np.zeros(0, np.uint64)], [np.zeros(0, np.uint64)]
-    for cols in columns:
-        big = cols.largest[cols.largest > np.uint64(2 * x)]
-        keys.append(big)
-        bases.append(big)
-        # p^k divides n^2+1 < 2^63 for k <= e, so the powers stay exact
-        more = cols.exponents >= 2
-        base, power, left = cols.primes[more], cols.primes[more], cols.exponents[more]
-        while with_prime_powers and base.size:
-            power = power * base
-            keys.append(power)
-            bases.append(base)
-            more = left > 2
-            base, power, left = base[more], power[more], left[more] - 1
+    layout = functools.partial(divisor_keys, bound=2 * x, with_prime_powers=with_prime_powers)
+    keys, bases = zip(*iter_columns(x + 1, 2 * x, segment_size, workers, layout))
     uniq, first, counts = np.unique(np.concatenate(keys), return_index=True, return_counts=True)
     table = [rows.astype(np.int64).T for rows in root_table(2 * x)]
     primes = np.concatenate([[2]] + [p for p, _ in table]).astype(np.uint64)
@@ -187,7 +179,6 @@ def coverage_curve(
     x: int,
     with_prime_powers: bool = True,
     tail_tolerance: float = 1e-3,
-    columns: Optional[Iterable[FactorColumns]] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> CoverageCurve:
@@ -203,9 +194,7 @@ def coverage_curve(
     import numpy as np
 
     top = 4 * x * x + 1
-    if columns is None:
-        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
-    keys, covered = _cumulative(x, columns, with_prime_powers)
+    keys, covered = _cumulative(x, with_prime_powers, segment_size, workers)
     total = lhs_logsum(x)
     points = []
     for y in [min(power_cutoff(x, delta, limit=None), top) for delta in DELTA_GRID] + [top]:
@@ -227,7 +216,6 @@ def coverage_curve(
 def contradiction_probe(
     x: int,
     deltas: Sequence[float],
-    columns: Optional[Iterable[FactorColumns]] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> list[ChainLedger]:
@@ -238,9 +226,10 @@ def contradiction_probe(
     2x log x - (R+S) whose sign flip across delta is the contradiction
     mechanism, and the ground-truth margin lhs_exact - n_trunc.  Every delta
     is checked (range, then cutoff) before any work, and no delta means no
-    work.  The columns are read once, each segment adding its terms e log p
-    to lambda_side; n_trunc, R and S at every cutoff come from one
-    sum_ledger pass over the root rows, so no divisor key is held.
+    work.  Each segment gives the exact integer total of its terms e log p
+    (log_total), and lambda_side is their sum, rounded once, so it does not
+    depend on the segments or workers; n_trunc, R and S at every cutoff come
+    from one sum_ledger pass over the root rows, so no divisor key is held.
     """
     _check_x(x)
     if x < 2:
@@ -251,11 +240,7 @@ def contradiction_probe(
         power_cutoff(x, delta)
     if not deltas:
         return []
-    if columns is None:
-        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
-    lam = _ExactSum()
-    for cols in columns:
-        lam.add(cols.exponents * _logs(cols.primes))
+    lam = _ExactSum(sum(iter_columns(x + 1, 2 * x, segment_size, workers, log_total)))
     lhs_exact, lhs_main_term, lambda_side = lhs_logsum(x), 2.0 * x * math.log(x), lam.value()
     out = []
     for sums in sum_ledger(x, deltas):
@@ -277,9 +262,15 @@ def contradiction_probe(
     return out
 
 
+def _segment_max(lo: int, hi: int) -> Tuple[int, int]:
+    """(P, n): the largest P(n^2+1) over [lo, hi] and the first n it occurs at."""
+    largest = largest_column(lo, hi)
+    i = int(largest.argmax())  # the first maximum
+    return int(largest[i]), lo + i
+
+
 def largest_prime_probe(
     x: int,
-    columns: Optional[Iterable[FactorColumns]] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> ProbeResult:
@@ -288,17 +279,16 @@ def largest_prime_probe(
     The interval membership test max_p >= x^(3/2) is done in exact integers
     as max_p^2 >= x^3; the upper end 4x^2+1 holds trivially.  No asymptotic
     assertion is attached to the result.  On ties the smallest n wins.
+    Each segment gives only its maximum and the first n it occurs at.
     """
     _check_x(x)
     if x < 2:
         raise ValueError("x must be >= 2 so the exponent is defined")
-    max_prime, arg_n = 0, 0
-    if columns is None:
-        columns = iter_columns(x + 1, 2 * x, segment_size, workers)
-    for cols in columns:
-        i = int(cols.largest.argmax())  # the first maximum
-        if int(cols.largest[i]) > max_prime:
-            max_prime, arg_n = int(cols.largest[i]), cols.lo + i
+    # max keeps the first of equal maxima, so the earliest segment wins a tie
+    max_prime, arg_n = max(
+        iter_columns(x + 1, 2 * x, segment_size, workers, _segment_max),
+        key=lambda best: best[0],
+    )
     return ProbeResult(
         x=x,
         max_prime=max_prime,

@@ -123,7 +123,7 @@ def test_criterion_5_summandwise_bound():
         x = 10**3
         columns = [sieve_columns(x + 1, 2 * x)]
         deltas = (0.0, 0.25, 0.5)
-        for delta, led in zip(deltas, contradiction_probe(x, deltas, columns=columns)):
+        for delta, led in zip(deltas, contradiction_probe(x, deltas)):
             assert led.n_trunc <= led.R + led.S, delta
             cutoff = power_cutoff(x, delta)
             keys, counts, _ = divisor_incidence(columns, cutoff, False)

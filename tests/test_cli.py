@@ -760,3 +760,80 @@ def test_only_sieve_and_records_csv_load_the_csv_kernel():
     ):
         imported = _imported("-m", "quadfactor", *argv, "-o", os.devnull)
         assert ("quadfactor.csvtext" in imported) == loads, argv
+
+
+@pytest.mark.parametrize("segment_size", ["1", "7", str(cli.DEFAULT_SEGMENT_SIZE)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["records", "--n-max", "400"],
+        ["probe", "--x", "400"],
+        ["coverage", "--x", "400", "--prime-powers"],
+        ["chain", "--x", "400", "--delta-grid", "0,0.5"],
+    ],
+    ids=["records", "probe", "coverage", "chain"],
+)
+def test_consumers_give_the_same_bytes_at_one_and_two_workers(tmp_path, argv, segment_size):
+    # each consumer's reduction runs in the pool worker at --workers 2 and
+    # in-process at --workers 1; what comes out is the same
+    outputs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"w{workers}"
+        argv_w = argv + ["--segment-size", segment_size, "--workers", workers, "-o", str(path)]
+        assert main(argv_w) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# runs quadfactor as __main__ after registering an atexit hook that writes
+# the collector's freeze count to the path in argv[1]
+_EXIT_HOOK = (
+    "import atexit, gc, runpy, sys\n"
+    "stamp = sys.argv.pop(1)\n"
+    "def hook():\n"
+    "    with open(stamp, 'w') as out:\n"
+    "        out.write(str(gc.get_freeze_count()))\n"
+    "atexit.register(hook)\n"
+    "runpy.run_module('quadfactor', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--x", "500", "--workers", "1"],
+        ["chain", "--x", "100000", "--delta-grid", "1.0,1.5", "--workers", "1"],
+        ["--help"],
+    ],
+    ids=["success", "refusal", "help"],
+)
+def test_entry_point_freezes_the_collector_and_keeps_exit(tmp_path, monkeypatch, argv):
+    # the atexit hook runs (no os._exit), sees the request's objects frozen
+    # out of the teardown collections, and the exit code and bytes are those
+    # of main(argv) in-process
+    stamp = tmp_path / "stamp"
+    env = dict(_fresh_env(), COLUMNS="80")
+    env.pop(cli.WORKERS_ENV, None)
+    run = subprocess.run(
+        [sys.executable, "-c", _EXIT_HOOK, str(stamp), *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert (run.returncode, run.stdout, run.stderr) == (rc, out.getvalue(), err.getvalue())
+    assert rc == (1 if argv[0] == "chain" else 0)
+    assert int(stamp.read_text()) > 0
+
+
+def test_main_in_process_leaves_the_collector_unfrozen():
+    code = (
+        "import gc, os\n"
+        "from quadfactor.cli import main\n"
+        "rc = main(['probe', '--x', '500', '--workers', '1', '-o', os.devnull])\n"
+        "print(rc, gc.get_freeze_count())\n"
+    )
+    run = _fresh_python("-c", code)
+    assert run.stdout.split() == ["0", "0"], run.stderr

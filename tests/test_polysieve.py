@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import itertools
 import math
@@ -10,12 +11,15 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadfactor import modmath, polysieve
+from quadfactor import chebsums, modmath, polysieve, verifier
 from quadfactor.cli import main
 from quadfactor.modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, iter_primes
 from quadfactor.polysieve import (
     FactorColumns,
+    divisor_keys,
     iter_columns,
+    largest_column,
+    log_total,
     records_scan,
     sieve_columns,
 )
@@ -217,12 +221,18 @@ def test_records_scan_strictly_increasing_records():
     assert _scan_rows(2000, 37, workers=2) == rows
 
 
+def _record_segment(largest):
+    """A hand-made (largest, exponent) pair, as records_scan's reduction gives."""
+    largest = np.array(largest, dtype=np.uint64)
+    return largest, np.ones(len(largest))
+
+
 def test_records_scan_ties_are_not_records(monkeypatch):
     # hand-made largest columns: 17 first at n = 3, tied at n = 5 in its own
     # segment and at n = 6, the start of the next; 19 at n = 10 is the next
     # record, and its tie at n = 11 is not
-    segments = [_columns_of(2, [5, 17, 13, 17]), _columns_of(6, [17, 5, 17]),
-                _columns_of(9, [13, 19, 19])]
+    segments = [_record_segment([5, 17, 13, 17]), _record_segment([17, 5, 17]),
+                _record_segment([13, 19, 19])]
     monkeypatch.setattr(polysieve, "iter_columns", lambda *args: iter(segments))
     rows = _scan_rows(11)
     assert [(n, is_record) for n, _, _, is_record in rows] == [
@@ -231,7 +241,7 @@ def test_records_scan_ties_are_not_records(monkeypatch):
     ]
     assert [block.lo for block in records_scan(11)] == [2, 6, 9]
     # every value ties with the first: only n = 2 is a record
-    segments = [_columns_of(2, [7, 7]), _columns_of(4, [7])]
+    segments = [_record_segment([7, 7]), _record_segment([7])]
     monkeypatch.setattr(polysieve, "iter_columns", lambda *args: iter(segments))
     assert [is_record for *_, is_record in _scan_rows(4)] == [True, False, False]
 
@@ -455,20 +465,21 @@ def test_bad_residual_raises_and_exits_2(capsys):
             assert captured.err == "internal check failed: residual 93077 at n=1100 is not prime\n"
 
 
-def _columns_of(lo, largest):
-    largest = np.array(largest, dtype=np.uint64)
-    ones = np.ones(len(largest), dtype=np.uint8)
-    return FactorColumns(lo=lo, counts=ones, primes=largest, exponents=ones, largest=largest)
-
-
-def test_probe_keeps_the_first_n_on_ties():
-    # only the largest column is read: the maximum 17 first occurs at n = 12,
-    # again later in the same segment and in the next ones
-    segments = [_columns_of(11, [5, 17, 13]), _columns_of(14, [17, 17, 5]), _columns_of(17, [17])]
-    result = largest_prime_probe(10, columns=segments)
-    assert (result.max_prime, result.arg_n) == (17, 12)
-    result = largest_prime_probe(10, columns=[_columns_of(11, [3, 3, 3])])
+def test_probe_keeps_the_first_n_on_ties(monkeypatch):
+    # only the largest column is read, here a hand-made one per segment of
+    # (10, 20] cut in threes: the maximum 17 first occurs at n = 12, again
+    # later in the same segment and in the next ones
+    columns = {11: [5, 17, 13], 14: [17, 17, 5], 17: [17, 2, 17], 20: [17]}
+    monkeypatch.setattr(
+        verifier, "largest_column", lambda lo, hi: np.array(columns[lo], dtype=np.uint64)
+    )
+    for workers in (1, 2):
+        result = largest_prime_probe(10, segment_size=3, workers=workers)
+        assert (result.max_prime, result.arg_n) == (17, 12)
+    columns = {11: [3, 3, 3], 14: [3, 3, 3], 17: [3, 3, 3], 20: [3]}
+    result = largest_prime_probe(10, segment_size=3)
     assert (result.max_prime, result.arg_n) == (3, 11)
+    monkeypatch.undo()
     # the same rule as max() over the records, which keeps the first maximum
     rng = random.Random(77)
     for _ in range(5):
@@ -534,11 +545,67 @@ def test_column_reductions_equal_the_record_loops(data):
         got = dict(zip(keys.tolist(), counts.tolist()))
         assert got == _record_incidence(records, y_cutoff, powers)
         assert list(got) == sorted(got)
-        curve = coverage_curve(x, with_prime_powers=powers, columns=columns)
+        curve = coverage_curve(x, with_prime_powers=powers, segment_size=size)
         cumulative = list(zip(curve.keys.tolist(), curve.covered.tolist()))
         assert cumulative == _record_cumulative(records, 4 * x * x + 1, powers)
     terms = [e * math.log(p) for rec in records for p, e in rec.factors]
-    # the lambda side sums the columns it is given, so x = 1 borrows the ledger
-    # of x = 2 (sum_ledger needs x >= 2) and still checks its one column, n = 2
-    (led,) = contradiction_probe(max(x, 2), [0.0], columns=columns)
-    assert led.lambda_side == math.fsum(terms)
+    # the segments' exact totals add up to the correctly rounded sum of all
+    # terms; sum_ledger needs x >= 2, so the ledger of x = 1 is not asked for
+    totals = iter_columns(x + 1, 2 * x, size, 1, log_total)
+    assert chebsums._ExactSum(sum(totals)).value() == math.fsum(terms)
+    if x >= 2:
+        (led,) = contradiction_probe(x, [0.0], segment_size=size)
+        assert led.lambda_side == math.fsum(terms)
+
+
+@pytest.mark.parametrize("segment_size", [1, 7, DEFAULT_SEGMENT_SIZE])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    window=st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 60)),
+        st.tuples(st.integers(1, 10**5), st.integers(1, 60)),
+    ),
+    data=st.data(),
+)
+def test_each_layout_equals_the_csr(segment_size, window, data):
+    # largest, the coverage keys and the lambda integer, segment by segment,
+    # against what the CSR layout of the same segment gives
+    lo, width = window
+    hi = lo + width - 1
+    # coverage asks for the keys above 2x, at least hi and 2; the least such
+    # bound keeps the most residuals, and a square bound drops them all
+    bound = data.draw(st.sampled_from([max(hi, 2), 2 * hi, hi * hi + 1]), label="bound")
+    segments = zip(
+        iter_columns(lo, hi, segment_size),
+        iter_columns(lo, hi, segment_size, 1, largest_column),
+        iter_columns(lo, hi, segment_size, 1, log_total),
+    )
+    for cols, largest, total in segments:
+        assert largest.dtype == np.uint64
+        assert largest.tolist() == cols.largest.tolist()
+        acc = chebsums._ExactSum()
+        acc.add(cols.exponents * modmath._logs(cols.primes))
+        assert total == acc.total
+        top = cols.lo + len(cols.counts) - 1
+        for powers in (False, True):
+            keys, bases = divisor_keys(cols.lo, top, bound, powers)
+            assert (keys.dtype, bases.dtype) == (np.uint64, np.uint64)
+            expected = collections.Counter()
+            for rec in records_of(cols):
+                for p, e in rec.factors:
+                    if p > bound:
+                        expected[p, p] += 1
+                    for k in range(2, e + 1 if powers else 2):
+                        expected[p**k, p] += 1
+            assert collections.Counter(zip(keys.tolist(), bases.tolist())) == expected
+
+
+def test_records_scan_blocks_equal_the_csr():
+    # the records reduction ships largest and its exponent; both equal what
+    # the CSR columns of the same segments give, at any worker count
+    for workers in (1, 2):
+        blocks = records_scan(3000, 211, workers)
+        for block, cols in zip(blocks, iter_columns(2, 3000, 211), strict=True):
+            assert block.lo == cols.lo
+            assert block.largest.tolist() == cols.largest.tolist()
+            assert block.exponent.tolist() == cols.exponent().tolist()

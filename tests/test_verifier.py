@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from quadfactor import verifier
+from quadfactor import polysieve, verifier
 from quadfactor.chebsums import power_cutoff, sum_ledger
 from quadfactor.cli import main
 from quadfactor.modmath import iter_primes, sqrt_minus_one
-from quadfactor.polysieve import iter_columns, sieve_columns
+from quadfactor.polysieve import iter_columns, records_scan
 from quadfactor.rootcount import count_in_class, count_root_classes
 from quadfactor.verifier import (
     contradiction_probe,
@@ -186,9 +186,8 @@ def test_delta_star_at_equals_linear_scan():
 
 
 def test_contradiction_probe_truncated_bound():
-    columns = [sieve_columns(10**3 + 1, 2 * 10**3)]
     deltas = [0.5, 0.0, 0.25, 0.0]
-    ledgers = contradiction_probe(10**3, deltas, columns=columns)
+    ledgers = contradiction_probe(10**3, deltas)
     assert [led.delta for led in ledgers] == deltas
     for led, delta in zip(ledgers, deltas):
         assert led.n_trunc <= led.R + led.S
@@ -201,11 +200,11 @@ def test_contradiction_probe_truncated_bound():
 def test_contradiction_probe_reads_each_cutoff_off_one_pass(x, segment_size):
     # n_trunc, read off the root rows, against math.fsum of the sieve-side
     # incidence terms per cutoff, R and S against single-delta ledgers: bit
-    # for bit, whatever the segments the columns are cut into
+    # for bit, whatever the segments the interval is cut into
     kwargs = {} if segment_size is None else {"segment_size": segment_size}
     columns = list(iter_columns(x + 1, 2 * x, **kwargs))
     deltas = [0.4, 0.0, 1.0, 0.1, 0.4]
-    for led in contradiction_probe(x, deltas, columns=columns):
+    for led in contradiction_probe(x, deltas, **kwargs):
         keys, counts, _ = divisor_incidence(columns, led.cutoff, False)
         incidence = zip(keys.tolist(), counts.tolist())
         n_trunc = math.fsum(math.log(p) * count for p, count in incidence)
@@ -218,29 +217,30 @@ def test_contradiction_probe_reads_each_cutoff_off_one_pass(x, segment_size):
 @pytest.mark.parametrize(
     "consume",
     [
-        lambda columns: contradiction_probe(1000, [0.0, 0.5], columns=columns),
-        lambda columns: coverage_curve(1000, columns=columns),
-        lambda columns: largest_prime_probe(1000, columns=columns),
+        lambda size: contradiction_probe(1000, [0.0, 0.5], segment_size=size),
+        lambda size: coverage_curve(1000, segment_size=size),
+        lambda size: largest_prime_probe(1000, segment_size=size),
+        lambda size: list(records_scan(1000, segment_size=size)),
     ],
-    ids=["contradiction_probe", "coverage_curve", "largest_prime_probe"],
+    ids=["contradiction_probe", "coverage_curve", "largest_prime_probe", "records_scan"],
 )
-def test_column_consumers_hold_at_most_one_segment(consume):
-    # each consumer reads the stream once: when the next segment is asked
-    # for, at most the one before it (the consumer's loop variable) is alive
+def test_column_consumers_hold_at_most_one_segment(monkeypatch, consume):
+    # each segment is reduced where it is sieved: when the next segment's
+    # hits are computed, no hit array of an earlier segment is alive
     refs, alive = [], []
+    sieve_hits = polysieve._sieve_hits
 
-    def segments():
-        for lo in range(1001, 2001, 97):
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in refs))
-            cols = sieve_columns(lo, min(lo + 96, 2000))
-            refs.append(weakref.ref(cols.primes))
-            yield cols
-            del cols
+    def tracked(lo, hi):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        hits = sieve_hits(lo, hi)
+        refs.extend(weakref.ref(column) for column in hits[:3])
+        return hits
 
-    consume(segments())
-    assert len(refs) == 11
-    assert max(alive) <= 1, alive
+    monkeypatch.setattr(polysieve, "_sieve_hits", tracked)
+    consume(97)
+    assert len(refs) == 3 * len(alive) >= 3 * 10
+    assert max(alive) == 0, alive
 
 
 def test_chain_builds_no_divisor_key(monkeypatch, capsys):
