@@ -22,8 +22,11 @@ and modmath's envelope constants.  Each subcommand imports its own modules
 after its argument checks, and stdlib that one branch needs (tempfile, the
 fork pool) is imported in that branch: --help, a refused request or verify
 counts never import the sieve, the sum ledgers, the CSV kernel or numpy.
-The request's end is part of its cost too: run() freezes the collector's
-objects once main() returns, so teardown does not traverse them again.
+numpy's OpenBLAS starts a busy-waiting worker thread per extra CPU when it
+loads, and no path here calls BLAS, so run() pins it to one thread before
+main() can import numpy.  The request's end is part of its cost too: run()
+freezes the collector's objects once main() returns, so teardown does not
+traverse them again.
 """
 
 from __future__ import annotations
@@ -507,12 +510,18 @@ def run() -> int:
     """main() on sys.argv: the entry of `python -m quadfactor` and of the
     console script.
 
-    After main() returns, gc.freeze() moves every tracked object to the
-    permanent generation, which no collection traverses, so the collections
-    of interpreter teardown skip the request's objects.  atexit handlers
-    and the stream flushes still run.  main(argv) itself leaves the
-    collector as it was, for callers that go on running.
+    Before main() runs, OPENBLAS_NUM_THREADS is set to 1, whatever the
+    caller's value: no quadfactor path calls BLAS, and the worker thread
+    OpenBLAS would otherwise start when numpy loads busy-waits, slowing the
+    request's own thread (about 65 ms of each numpy request on two CPUs).
+    Fork-pool workers inherit the setting.  After main() returns,
+    gc.freeze() moves every tracked object to the permanent generation,
+    which no collection traverses, so the collections of interpreter
+    teardown skip the request's objects.  atexit handlers and the stream
+    flushes still run.  main(argv) itself leaves os.environ and the
+    collector as they were, for callers that go on running.
     """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     gc.freeze()
     return code

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -301,9 +302,10 @@ def _fresh_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, **env):
     return subprocess.run(
-        [sys.executable, *args], env=_fresh_env(), capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=dict(_fresh_env(), **env), capture_output=True, text=True,
+        timeout=60,
     )
 
 
@@ -786,16 +788,40 @@ def test_consumers_give_the_same_bytes_at_one_and_two_workers(tmp_path, argv, se
 
 
 # runs quadfactor as __main__ after registering an atexit hook that writes
-# the collector's freeze count to the path in argv[1]
+# the collector's freeze count and the process's thread count (0 where
+# /proc/self/task does not exist) to the path in argv[1]
 _EXIT_HOOK = (
-    "import atexit, gc, runpy, sys\n"
+    "import atexit, gc, os, runpy, sys\n"
     "stamp = sys.argv.pop(1)\n"
     "def hook():\n"
+    "    task = '/proc/self/task'\n"
+    "    threads = len(os.listdir(task)) if os.path.isdir(task) else 0\n"
     "    with open(stamp, 'w') as out:\n"
-    "        out.write(str(gc.get_freeze_count()))\n"
+    "        out.write(f'{gc.get_freeze_count()} {threads}')\n"
     "atexit.register(hook)\n"
     "runpy.run_module('quadfactor', run_name='__main__', alter_sys=True)\n"
 )
+
+
+def _entry_point_exit(tmp_path, monkeypatch, argv, **env):
+    """Runs argv through the entry point with env added to the caller's
+    environment, checks that its exit code and bytes are those of main(argv)
+    in-process, and returns (exit code, freeze count, thread count) at exit."""
+    stamp = tmp_path / "stamp"
+    env = dict(_fresh_env(), COLUMNS="80", **env)
+    env.pop(cli.WORKERS_ENV, None)
+    run = subprocess.run(
+        [sys.executable, "-c", _EXIT_HOOK, str(stamp), *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert (run.returncode, run.stdout, run.stderr) == (rc, out.getvalue(), err.getvalue())
+    freeze, threads = map(int, stamp.read_text().split())
+    return rc, freeze, threads
 
 
 @pytest.mark.parametrize(
@@ -811,29 +837,48 @@ def test_entry_point_freezes_the_collector_and_keeps_exit(tmp_path, monkeypatch,
     # the atexit hook runs (no os._exit), sees the request's objects frozen
     # out of the teardown collections, and the exit code and bytes are those
     # of main(argv) in-process
-    stamp = tmp_path / "stamp"
-    env = dict(_fresh_env(), COLUMNS="80")
-    env.pop(cli.WORKERS_ENV, None)
-    run = subprocess.run(
-        [sys.executable, "-c", _EXIT_HOOK, str(stamp), *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    assert (run.returncode, run.stdout, run.stderr) == (rc, out.getvalue(), err.getvalue())
+    rc, freeze, _ = _entry_point_exit(tmp_path, monkeypatch, argv)
     assert rc == (1 if argv[0] == "chain" else 0)
-    assert int(stamp.read_text()) > 0
+    assert freeze > 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_entry_point_runs_one_thread_whatever_the_callers_blas_setting(tmp_path, monkeypatch):
+    # probe imports numpy; run() pins OpenBLAS to one thread before that, over
+    # the caller's value, so no BLAS worker thread is left at exit
+    argv = ["probe", "--x", "500", "--workers", "1"]
+    rc, freeze, threads = _entry_point_exit(tmp_path, monkeypatch, argv, OPENBLAS_NUM_THREADS="4")
+    assert (rc, threads) == (0, 1)
+    assert freeze > 0
+
+
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_no_source_calls_blas():
+    # run() pins OpenBLAS to one thread because nothing calls it; code that
+    # adds BLAS work has to revisit that pin
+    for path in sorted(Path(SRC, "quadfactor").glob("*.py")):
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.MatMult):
+                found.append("@")
+            elif isinstance(node, ast.Name) and node.id in _BLAS_NAMES:
+                found.append(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+                found.append(node.attr)
+            elif isinstance(node, ast.alias) and _BLAS_NAMES & set(node.name.split(".")):
+                found.append(node.name)
+        assert not found, (path.name, found)
 
 
 def test_main_in_process_leaves_the_collector_unfrozen():
     code = (
         "import gc, os\n"
         "from quadfactor.cli import main\n"
+        "environ = dict(os.environ)\n"
         "rc = main(['probe', '--x', '500', '--workers', '1', '-o', os.devnull])\n"
-        "print(rc, gc.get_freeze_count())\n"
+        "print(rc, gc.get_freeze_count(), dict(os.environ) == environ)\n"
     )
-    run = _fresh_python("-c", code)
-    assert run.stdout.split() == ["0", "0"], run.stderr
+    run = _fresh_python("-c", code, OPENBLAS_NUM_THREADS="4")
+    assert run.stdout.split() == ["0", "0", "True"], run.stderr
