@@ -512,8 +512,9 @@ def run() -> int:
 
     Before main() runs, OPENBLAS_NUM_THREADS is set to 1, whatever the
     caller's value: no quadfactor path calls BLAS, and the worker thread
-    OpenBLAS would otherwise start when numpy loads busy-waits, slowing the
-    request's own thread (about 65 ms of each numpy request on two CPUs).
+    OpenBLAS would otherwise start when numpy loads busy-waits.  On a
+    2-vCPU host that thread took about 0.1 s of CPU per numpy request, and
+    about 65 ms of its wall time when the host's CPUs were contended.
     Fork-pool workers inherit the setting.  After main() returns,
     gc.freeze() moves every tracked object to the permanent generation,
     which no collection traverses, so the collections of interpreter

@@ -863,12 +863,14 @@ def test_no_source_calls_blas():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.MatMult):
                 found.append("@")
-            elif isinstance(node, ast.Name) and node.id in _BLAS_NAMES:
-                found.append(node.id)
-            elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
-                found.append(node.attr)
-            elif isinstance(node, ast.alias) and _BLAS_NAMES & set(node.name.split(".")):
-                found.append(node.name)
+            elif isinstance(node, ast.Name):
+                found += _BLAS_NAMES & {node.id}
+            elif isinstance(node, ast.Attribute):
+                found += _BLAS_NAMES & {node.attr}
+            elif isinstance(node, ast.alias):  # import numpy.linalg, from numpy import dot
+                found += _BLAS_NAMES & set(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom):  # from numpy.linalg import norm
+                found += _BLAS_NAMES & set((node.module or "").split("."))
         assert not found, (path.name, found)
 
 
