@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _class_sieve, _logs, iter_root_rows
+from .rootcount import _floor_identity
 
 if TYPE_CHECKING:
     import numpy
@@ -104,11 +105,6 @@ def _prefix_sums(
     return out + [final] * (len(marks) - len(out))
 
 
-def _incidence(x: int, p: "numpy.ndarray", b: "numpy.ndarray") -> "numpy.ndarray":
-    """rootcount.count_by_floor_identity over int64 root rows (p, b)."""
-    return (2 * x - b) // p - (x - b) // p + (2 * x + b) // p - (x + b) // p
-
-
 @dataclass(frozen=True, slots=True)
 class SumLedger:
     """Everything evaluated for one (x, delta) pair; n_trunc sums log p times
@@ -186,7 +182,7 @@ def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
     root rows (p, b) up to the largest cutoff sums exactly, a chunk at a time,
     log p / p (mertens; R is 2x times it), ({(x-b)/p} + {(x+b)/p}) log p (S),
     each fractional part an exact residue over p made a float once, and
-    log p * inc(p) (n_trunc), inc(p) being _incidence's floor identity,
+    log p * inc(p) (n_trunc), inc(p) being rootcount's floor identity,
     with a snapshot and the term count as p passes each cutoff.  n_trunc also
     holds the p = 2 term log 2 * floor(x/2), which term_count leaves out.
     """
@@ -202,7 +198,7 @@ def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
         for rows in iter_root_rows(marks[-1]):
             p, b = rows.astype(np.int64).T
             logp = _logs(p)
-            inc = _incidence(x, p, b)
+            inc = _floor_identity(x, p, b)
             yield p, [logp / p, ((x - b) % p / p + (x + b) % p / p) * logp, logp * inc]
 
     sums = [_ExactSum() for _ in range(3)]

@@ -9,12 +9,15 @@ Every subcommand declares its columns once, each with a kind, and its
 rows have the bytes of one row template built from them: ints as %d,
 floats as %.17g in CSV and %r (the shortest round-trip repr, as json.dumps
 writes it) in JSON lines, bools as true/false.  So output files are
-byte-stable and round-trip exact.  sieve and records CSV, one row per n,
-is written by a numpy kernel (the csvtext module) with those bytes, from
-the factor columns cut and joined across segments into blocks of at most
-_ROWS_PER_WRITE rows.  Their JSON lines and the other subcommands, which
-hand all their rows over as one block, go through the template itself
-(_format_blocks): verify counts never loads numpy.
+byte-stable and round-trip exact.  The summary subcommands read each row's
+values by those column names.  sieve and records, one row per n, hand
+their segments to one emitter (_emit_columns) as numpy column blocks, with
+sieve's factorizations as CSR columns.  Their CSV is written by a numpy
+kernel (the csvtext module) with the template's bytes, the blocks cut and
+joined across segments to at most _ROWS_PER_WRITE rows; their JSON lines,
+and the other subcommands, which hand all their rows over as one block, go
+through the template itself (_format_blocks): verify counts never loads
+numpy.
 
 Each request is a fresh interpreter, so start-up is part of its cost.  At
 module level this imports only argparse, the stdlib every subcommand needs
@@ -36,6 +39,7 @@ import contextlib
 import gc
 import itertools
 import math
+import operator
 import os
 import sys
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -89,6 +93,46 @@ def _csv_header(columns: Sequence[Tuple[str, str]]) -> str:
     return ",".join(name for name, _ in columns) + "\n"
 
 
+def _emit_columns(
+    args: argparse.Namespace, columns: Sequence[Tuple[str, str]], blocks: Iterable[tuple]
+) -> None:
+    """Emit one row per n from blocks of numpy columns, in args.format.
+
+    Each block is (cols, factors): cols holds one array per column that is
+    not of kind "str", in order; factors is the CSR (counts, primes,
+    exponents) of polysieve.FactorColumns, or (), and its "p^e;...;p^e"
+    text is the third column, as csvtext.csv_text places it.
+    """
+    if args.format == "csv":
+        from . import csvtext
+
+        kinds = [kind for _, kind in columns if kind != "str"]
+
+        def text() -> Iterator[str]:
+            yield _csv_header(columns)
+            for cols, factors in csvtext.cut_blocks(blocks, _ROWS_PER_WRITE):
+                yield csvtext.csv_text(kinds, cols, factors)
+
+        _emit(args, text())
+        return
+
+    def lists() -> Iterator[list]:
+        for cols, factors in blocks:
+            values = [col.tolist() for col in cols]
+            if factors:
+                counts, primes, exponents = (f.tolist() for f in factors)
+                powers = map("%d^%d".__mod__, zip(primes, exponents))
+                values.insert(2, [";".join(itertools.islice(powers, c)) for c in counts])
+            yield values
+
+    _emit(args, _format_blocks(args.format, columns, lists()))
+
+
+def _by_name(columns: Sequence[Tuple[str, str]], records: Iterable) -> Iterator[tuple]:
+    """Each record's attributes named by columns, in column order."""
+    return map(operator.attrgetter(*(name for name, _ in columns)), records)
+
+
 def _emit(args: argparse.Namespace, text: Iterable[str]) -> None:
     """Write the text to stdout, or to args.output complete or not at all.
 
@@ -133,14 +177,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_common(args: argparse.Namespace) -> None:
     """Refuse bad shared flags before any work; resolve args.workers in place."""
     if args.workers is None:
-        args.workers = _default_workers()
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            args.workers = int(raw)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, not {raw!r}") from None
     if args.workers < 1:
         raise ValueError("workers must be >= 1")
     if args.segment_size < 1:
@@ -225,79 +265,39 @@ def _require_interval_x(x: int) -> None:
 def _cmd_sieve(args: argparse.Namespace) -> int:
     if not 2 <= args.lo <= args.hi <= HI_MAX:
         raise ValueError(f"need 2 <= lo <= hi <= {HI_MAX}")
+    import numpy as np
+
     from .polysieve import iter_columns
 
     columns = (
         ("n", "int"), ("n2p1", "int"), ("factorization", "str"),
         ("largest_prime", "int"), ("exponent", "float"),
     )
-    segments = iter_columns(args.lo, args.hi, args.segment_size, args.workers)
-    if args.format == "csv":
-        import numpy as np
 
-        from . import csvtext
+    def blocks() -> Iterator[tuple]:
+        for c in iter_columns(args.lo, args.hi, args.segment_size, args.workers):
+            n = np.arange(c.lo, c.lo + len(c.counts), dtype=np.uint64)
+            yield (n, n * n + 1, c.largest, c.exponent()), (c.counts, c.primes, c.exponents)
 
-        def text() -> Iterator[str]:
-            yield _csv_header(columns)
-            blocks = (
-                (c.lo, (c.counts, c.largest, c.exponent()), (c.primes, c.exponents))
-                for c in segments
-            )
-            for lo, (counts, largest, exponent), factors in csvtext.cut_blocks(
-                blocks, _ROWS_PER_WRITE
-            ):
-                ns = np.arange(lo, lo + len(counts), dtype=np.uint64)
-                yield csvtext.csv_text(
-                    ("int", "int", "int", "float"), (ns, ns * ns + 1, largest, exponent),
-                    (counts, *factors),
-                )
-
-        _emit(args, text())
-        return 0
-
-    def blocks() -> Iterator[Sequence[Iterable]]:
-        for cols in segments:
-            ns = range(cols.lo, cols.lo + len(cols.counts))
-            powers = map("%d^%d".__mod__, zip(cols.primes.tolist(), cols.exponents.tolist()))
-            factorizations = [";".join(itertools.islice(powers, c)) for c in cols.counts.tolist()]
-            largest = cols.largest.tolist()
-            yield ns, [n * n + 1 for n in ns], factorizations, largest, cols.exponent().tolist()
-
-    _emit(args, _format_blocks(args.format, columns, blocks()))
+    _emit_columns(args, columns, blocks())
     return 0
 
 
 def _cmd_records(args: argparse.Namespace) -> int:
     if not 2 <= args.n_max <= HI_MAX:
         raise ValueError(f"need 2 <= n-max <= {HI_MAX}")
+    import numpy as np
+
     from .polysieve import records_scan
 
     columns = (("n", "int"), ("largest_prime", "int"), ("exponent", "float"), ("is_record", "bool"))
-    scan = records_scan(args.n_max, args.segment_size, args.workers)
-    if args.format == "csv":
-        import numpy as np
 
-        from . import csvtext
+    def blocks() -> Iterator[tuple]:
+        for b in records_scan(args.n_max, args.segment_size, args.workers):
+            n = np.arange(b.lo, b.lo + len(b.largest), dtype=np.uint64)
+            yield (n, b.largest, b.exponent, b.is_record), ()
 
-        def text() -> Iterator[str]:
-            yield _csv_header(columns)
-            blocks = ((b.lo, (b.largest, b.exponent, b.is_record), ()) for b in scan)
-            for lo, cols, _ in csvtext.cut_blocks(blocks, _ROWS_PER_WRITE):
-                ns = np.arange(lo, lo + len(cols[0]), dtype=np.uint64)
-                yield csvtext.csv_text([kind for _, kind in columns], (ns, *cols))
-
-        _emit(args, text())
-        return 0
-    blocks = (
-        (
-            range(block.lo, block.lo + len(block.largest)),
-            block.largest.tolist(),
-            block.exponent.tolist(),
-            block.is_record.tolist(),
-        )
-        for block in scan
-    )
-    _emit(args, _format_blocks(args.format, columns, blocks))
+    _emit_columns(args, columns, blocks())
     return 0
 
 
@@ -316,27 +316,12 @@ def _cmd_sums(args: argparse.Namespace) -> int:
         mertens = [led.mertens for led in ledgers]
     else:
         mertens = mertens_prefixes([led.cutoff for led in ledgers], args.q, args.a)
-    rows = [
-        (
-            led.x,
-            led.delta,
-            led.cutoff,
-            led.R,
-            led.S,
-            led.residual_R,
-            led.residual_S,
-            led.term_count,
-            args.q,
-            args.a,
-            m,
-        )
-        for led, m in zip(ledgers, mertens)
-    ]
     columns = (
         ("x", "int"), ("delta", "float"), ("cutoff", "int"), ("R", "float"), ("S", "float"),
         ("residual_R", "float"), ("residual_S", "float"), ("term_count", "int"),
-        ("q", "int"), ("a", "int"), ("mertens", "float"),
     )
+    rows = [(*row, args.q, args.a, m) for row, m in zip(_by_name(columns, ledgers), mertens)]
+    columns += (("q", "int"), ("a", "int"), ("mertens", "float"))
     _emit(args, _format_blocks(args.format, columns, [zip(*rows)]))
     return 0
 
@@ -438,20 +423,12 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     ledgers = contradiction_probe(
         args.x, grid, segment_size=args.segment_size, workers=args.workers
     )
-    rows = [
-        (
-            led.x, led.delta, led.cutoff, led.lhs_exact, led.lhs_main_term,
-            led.lambda_side, led.n_trunc, led.R, led.S, led.margin,
-            led.margin_exact,
-        )
-        for led in ledgers
-    ]
     columns = (
         ("x", "int"), ("delta", "float"), ("cutoff", "int"), ("lhs_exact", "float"),
         ("lhs_main_term", "float"), ("lambda_side", "float"), ("n_trunc", "float"),
         ("R", "float"), ("S", "float"), ("margin", "float"), ("margin_exact", "float"),
     )
-    _emit(args, _format_blocks(args.format, columns, [zip(*rows)]))
+    _emit(args, _format_blocks(args.format, columns, [zip(*_by_name(columns, ledgers))]))
     return 0
 
 
@@ -466,8 +443,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     )
     columns = (("x", "int"), ("max_prime", "int"), ("arg_n", "int"), ("exponent", "float"),
                ("in_interval", "bool"))
-    row = (result.x, result.max_prime, result.arg_n, result.exponent, result.in_interval)
-    _emit(args, _format_blocks(args.format, columns, [zip(row)]))
+    _emit(args, _format_blocks(args.format, columns, [zip(*_by_name(columns, [result]))]))
     return 0
 
 

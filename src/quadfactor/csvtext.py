@@ -1,18 +1,20 @@
 """The CSV text of numpy column blocks, byte for byte the CLI's row template.
 
 sieve and records write one row per n, so their CSV is made here, a block
-at a time, instead of by one "%d,%d,...\n" % row per n.  Each field is a
-NUL-padded row of one uint8 matrix and the NUL-free bytes of the matrix
-are the text: ints from a table of digit pairs, bools from a table of
-words, and floats as %.17g from the exact product v * 10^k (Dekker 1971),
-rounded half to even as CPython rounds it (Gay 1990), with "%.17g" % v as
-the fallback outside fixed notation.  The module is imported only by those
-two CSV branches, so no other request compiles it or loads numpy for it.
+at a time, instead of by one "%d,%d,...\n" % row per n: cli._emit_columns
+hands their column blocks to cut_blocks, and each cut block to csv_text.
+Each field is a NUL-padded row of one uint8 matrix and the NUL-free bytes
+of the matrix are the text: ints from a table of digit pairs, bools from
+a table of words, and floats as %.17g from the exact product v * 10^k
+(Dekker 1971), rounded half to even as CPython rounds it (Gay 1990), with
+"%.17g" % v as the fallback outside fixed notation.  The module is
+imported only by that emitter's CSV branch, so no other request compiles
+it or loads numpy for it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -169,7 +171,7 @@ _FIELDS = {"int": _int_field, "float": _float_field, "bool": _bool_field}
 def csv_text(
     kinds: Sequence[str],
     cols: Sequence[np.ndarray],
-    factors: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    factors: Tuple[np.ndarray, ...] = (),
 ) -> str:
     """The CSV rows of a block of numpy columns, byte for byte the CLI's template's.
 
@@ -178,10 +180,10 @@ def csv_text(
     text.  With factors = (counts, primes, exponents), the CSR
     factorizations of polysieve.FactorColumns, row i's "p^e;...;p^e" goes
     between its columns 1 and 2: one matrix row per factor, each n's rows
-    between its head and tail rows.
+    between its head and tail rows.  factors = () writes the columns alone.
     """
     fields = [_FIELDS[kind](col) for kind, col in zip(kinds, cols)]
-    if factors is None:
+    if not factors:
         return _packed(_joined(fields, b"\n"))
     counts, primes, exponents = factors
     sep = np.full((len(primes), 1), ord(";"), dtype=np.uint8)
@@ -224,22 +226,24 @@ def _packed(matrix: np.ndarray) -> str:
 def cut_blocks(blocks: Iterable[tuple], rows: int) -> Iterator[tuple]:
     """Re-cut a stream of consecutive column blocks into blocks of at most rows rows.
 
-    A block is (lo, cols, flat): columns for n = lo, lo + 1, ..., and flat
-    columns of which row i owns the next cols[0][i] entries (flat may be
-    empty).  Long blocks are sliced into views and short ones joined, so the
-    kernel runs once per rows rows on a bounded block, whatever the segment
-    size.
+    A block is (cols, factors): columns of one row per entry, and factors,
+    either () or the CSR (counts, primes, exponents) in which row i owns the
+    next counts[i] entries of primes and exponents.  Long blocks are sliced
+    into views and short ones joined, so the kernel runs once per rows rows
+    on a bounded block, whatever the segment size.
     """
     held, size = [], 0
-    for lo, cols, flat in blocks:
-        if flat:
-            ends = np.zeros(len(cols[0]) + 1, dtype=np.intp)
-            np.cumsum(cols[0], out=ends[1:])
+    for cols, factors in blocks:
+        if factors:
+            ends = np.zeros(len(factors[0]) + 1, dtype=np.intp)
+            np.cumsum(factors[0], out=ends[1:])
         start, width = 0, len(cols[0])
         while start < width:
             stop = min(width, start + rows - size)
-            owned = slice(ends[start], ends[stop]) if flat else None
-            held.append((lo + start, [c[start:stop] for c in cols], [f[owned] for f in flat]))
+            own = slice(start, stop)
+            flat = slice(ends[start], ends[stop]) if factors else None
+            cut = tuple(f[at] for f, at in zip(factors, (own, flat, flat)))
+            held.append(([c[own] for c in cols], cut))
             size += stop - start
             start = stop
             if size == rows:
@@ -252,5 +256,5 @@ def cut_blocks(blocks: Iterable[tuple], rows: int) -> Iterator[tuple]:
 def _joined_blocks(blocks: list) -> tuple:
     if len(blocks) == 1:
         return blocks[0]
-    lo, cols, flat = zip(*blocks)
-    return lo[0], [np.concatenate(c) for c in zip(*cols)], [np.concatenate(f) for f in zip(*flat)]
+    cols, factors = zip(*blocks)
+    return [np.concatenate(c) for c in zip(*cols)], tuple(np.concatenate(f) for f in zip(*factors))

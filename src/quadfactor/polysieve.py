@@ -260,11 +260,11 @@ def iter_columns(
     units; with workers > 1 they run in a fork pool, which pickles reduce
     and each result, and are re-sequenced by segment index, so the stream
     is identical for any worker count.  The root table for hi is built
-    once, before the pool forks, so workers inherit it.  The pool starts no
-    more processes than the CPUs this process may run on (_usable_cpus),
-    and at most twice that many segments are submitted ahead of the
-    consumer, so the results held in memory are bounded for any worker
-    count.
+    once, before the pool forks, so workers inherit it.  workers is first
+    cut to the CPUs this process may run on (_usable_cpus), so with one
+    usable CPU no pool starts; at most twice that many segments are
+    submitted ahead of the consumer, so the results held in memory are
+    bounded for any worker count.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
@@ -276,6 +276,7 @@ def iter_columns(
     if not bounds:
         return
     root_table(hi)
+    workers = min(workers, _usable_cpus())
     if workers == 1 or len(bounds) <= 1:
         for seg in bounds:
             yield reduce(*seg)
@@ -283,7 +284,6 @@ def iter_columns(
     import concurrent.futures
     import multiprocessing
 
-    workers = min(workers, _usable_cpus())
     ctx = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=min(workers, len(bounds)), mp_context=ctx

@@ -54,7 +54,12 @@ def count_exact(x: int, root: RootPair) -> int:
 
 def count_by_floor_identity(x: int, root: RootPair) -> int:
     """The same count as an alternating sum of four floor terms."""
-    p, b = root.p, root.b
+    return _floor_identity(x, root.p, root.b)
+
+
+def _floor_identity(x, p, b):
+    """The four-floor count of n in (x, 2x] with n = +-b (mod p), for ints or
+    for int64 arrays p and b alike (the root rows of chebsums and verifier)."""
     return (2 * x - b) // p - (x - b) // p + (2 * x + b) // p - (x + b) // p
 
 

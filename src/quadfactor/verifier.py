@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from .chebsums import _ExactSum, _incidence, power_cutoff, sum_ledger
+from .chebsums import _ExactSum, power_cutoff, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, root_table
 from .polysieve import divisor_keys, iter_columns, largest_column, log_total
+from .rootcount import _floor_identity
 
 if TYPE_CHECKING:
     import numpy
@@ -157,7 +158,7 @@ def _cumulative(
     uniq, first, counts = np.unique(np.concatenate(keys), return_index=True, return_counts=True)
     table = [rows.astype(np.int64).T for rows in root_table(2 * x)]
     primes = np.concatenate([[2]] + [p for p, _ in table]).astype(np.uint64)
-    inc = np.concatenate([[x // 2]] + [_incidence(x, p, b) for p, b in table])
+    inc = np.concatenate([[x // 2]] + [_floor_identity(x, p, b) for p, b in table])
     hit = inc > 0
     keys = np.concatenate((primes[hit], uniq))
     terms = _logs(np.concatenate((primes[hit], np.concatenate(bases)[first])))

@@ -139,12 +139,32 @@ def test_probe_row(tmp_path):
     assert row["in_interval"] == "true"
 
 
-def test_workers_env_default(tmp_path, monkeypatch):
+def test_workers_env_default(tmp_path, monkeypatch, capsys):
+    argv = ["sieve", "--lo", "2", "--hi", "600", "--segment-size", "100"]
     monkeypatch.setenv("QUADFACTOR_WORKERS", "2")
-    a = run_csv(tmp_path, ["sieve", "--lo", "2", "--hi", "600", "--segment-size", "100"], "a.csv")
+    a = run_csv(tmp_path, argv, "a.csv")
+    monkeypatch.setenv("QUADFACTOR_WORKERS", "1")
+    assert run_csv(tmp_path, argv, "b.csv") == a
     monkeypatch.setenv("QUADFACTOR_WORKERS", "not-a-number")
-    b = run_csv(tmp_path, ["sieve", "--lo", "2", "--hi", "600", "--segment-size", "100"], "b.csv")
-    assert a == b
+    assert main(argv + ["-o", str(tmp_path / "c.csv")]) == 1
+    assert "QUADFACTOR_WORKERS must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "QUADFACTOR_WORKERS must be an integer, not 'abc'"),
+     ("0", "workers must be >= 1"), ("-3", "workers must be >= 1")],
+    ids=["abc", "0", "-3"],
+)
+def test_invalid_workers_env_is_refused_before_any_work(
+    monkeypatch, capsys, no_prime_work, value, message
+):
+    # the variable is checked as --workers is, not read as 1 worker
+    monkeypatch.setenv(cli.WORKERS_ENV, value)
+    assert main(["records", "--n-max", "100"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_worker_count_byte_identical(tmp_path):
@@ -429,9 +449,8 @@ def test_each_subcommand_imports_only_what_it_runs():
     cases = (
         (
             ["sums", "--x", "1000", "--delta", "0", "--delta", "0.5"],
-            {"quadfactor.chebsums", "numpy"},
-            {"quadfactor.polysieve", "quadfactor.verifier", "quadfactor.rootcount",
-             "multiprocessing"},
+            {"quadfactor.chebsums", "quadfactor.rootcount", "numpy"},
+            {"quadfactor.polysieve", "quadfactor.verifier", "multiprocessing"},
         ),
         (
             ["verify", "counts", "--trials", "5"],

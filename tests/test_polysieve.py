@@ -396,12 +396,27 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch, affinity, cpu_count, cap
     monkeypatch.setattr(InlinePool, "max_workers", [])
     monkeypatch.setattr(InlinePool, "most_ahead", 0)
     streamed = [records_of(cols) for cols in iter_columns(2, 1201, 50, workers=64)]
-    assert (InlinePool.max_workers, InlinePool.most_ahead) == ([cap], 2 * cap)
+    # one usable CPU runs the segments in-process, with no pool
+    pools = [cap] if cap > 1 else []
+    assert (InlinePool.max_workers, InlinePool.most_ahead) == (pools, 2 * cap if pools else 0)
     assert streamed == [records_of(cols) for cols in iter_columns(2, 1201, 50)]
     # a request with fewer segments than CPUs still takes the pool path
     InlinePool.max_workers.clear()
     list(iter_columns(2, 61, 50, workers=64))
-    assert InlinePool.max_workers == [min(cap, 2)]
+    assert InlinePool.max_workers == ([min(cap, 2)] if pools else [])
+
+
+def test_one_usable_cpu_streams_in_process(monkeypatch):
+    # --workers 2 where the process may run on one CPU forks no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(polysieve, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    streamed = [records_of(cols) for cols in iter_columns(2, 1201, 50, workers=2)]
+    assert streamed == [
+        records_of(sieve_columns(lo, min(lo + 49, 1201))) for lo in range(2, 1202, 50)
+    ]
 
 
 def test_sieve_segment_prime_power_above_the_width():
