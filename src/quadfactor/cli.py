@@ -16,8 +16,8 @@ sieve's factorizations as CSR columns.  Their CSV is written by a numpy
 kernel (the csvtext module) with the template's bytes, the blocks cut and
 joined across segments to at most _ROWS_PER_WRITE rows; their JSON lines,
 and the other subcommands, which hand all their rows over as one block, go
-through the template itself (_format_blocks): verify counts never loads
-numpy.
+through the template itself (_format_blocks): verify counts and probe
+never load numpy.
 
 Each request is a fresh interpreter, so start-up is part of its cost.  At
 module level this imports only argparse, the stdlib every subcommand needs
@@ -238,14 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_common(args: argparse.Namespace) -> None:
     """Refuse bad shared flags before any work; resolve args.workers in place."""
+    name = "workers"
     if args.workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
+        name, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
         try:
             args.workers = int(raw)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, not {raw!r}") from None
     if args.workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise ValueError(f"{name} must be >= 1")
     if args.segment_size < 1:
         raise ValueError("segment-size must be >= 1")
     if args.output:
@@ -438,9 +439,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         raise ValueError("probe needs x >= 2")
     from .verifier import largest_prime_probe
 
-    result = largest_prime_probe(
-        args.x, segment_size=args.segment_size, workers=args.workers
-    )
+    result = largest_prime_probe(args.x)  # --segment-size and --workers: checked, unused
     columns = (("x", "int"), ("max_prime", "int"), ("arg_n", "int"), ("exponent", "float"),
                ("in_interval", "bool"))
     _emit(args, _format_blocks(args.format, columns, [zip(*_by_name(columns, [result]))]))

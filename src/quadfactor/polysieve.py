@@ -24,7 +24,7 @@ the segment is sieved:
   n = lo + i, stored flat in primes/exponents in ascending order (2 first
   for odd n, then the sieved primes, then the residual prime), and
   largest[i], the last of them.  Only the sieve output reads it;
-- largest_column, P(n^2 + 1) alone, for records and probe;
+- largest_column, P(n^2 + 1) alone, for records and the probe's fallback;
 - divisor_keys, the residuals above a bound and the prime powers p^k,
   2 <= k <= e, for coverage;
 - log_total, the exact sum of e log p over every factor, for chain.

@@ -3,12 +3,13 @@
 The exact left side sum(log(n^2+1)) over (x, 2x] is reproduced from the
 factor sieve through the von Mangoldt identity and split into a coverage
 curve by divisor cutoff; both the truncated sums and the curve count the
-primes up to 2x by the floor identity over the root rows.  Each check
+primes up to 2x by the floor identity over the root rows.  Each of the two
 sieves (x, 2x] once, a segment at a time, and takes from each segment only
 what it reads, reduced where the segment is sieved (in a pool worker with
-workers > 1): probe a (maximum, first n) pair, coverage the divisor keys
-above 2x, chain one exact integer for the von Mangoldt side.  Anything
-asymptotic is measured, never asserted.
+workers > 1): coverage the divisor keys above 2x, chain one exact integer
+for the von Mangoldt side.  The probe sieves nothing: it walks n down from
+2x with is_prime, and largest_column factors only an n it cannot bound.
+Anything asymptotic is measured, never asserted.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .chebsums import _ExactSum, power_cutoff, sum_ledger
-from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, root_table
+from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
 from .polysieve import divisor_keys, iter_columns, largest_column, log_total
 from .rootcount import _floor_identity
 
@@ -30,6 +31,7 @@ DELTA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 _LOG_CHUNK = 1 << 16  # values n^2+1 whose logs lhs_logsum holds at a time
 _LOW_MASK = (1 << 26) - 1
 _HIGH_MASK = (1 << 27) - 1
+_LEAST_ODD_FACTOR = 5  # odd prime factors of n^2+1 are 1 (mod 4)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,37 +265,35 @@ def contradiction_probe(
     return out
 
 
-def _segment_max(lo: int, hi: int) -> Tuple[int, int]:
-    """(P, n): the largest P(n^2+1) over [lo, hi] and the first n it occurs at."""
-    largest = largest_column(lo, hi)
-    i = int(largest.argmax())  # the first maximum
-    return int(largest[i]), lo + i
-
-
-def largest_prime_probe(
-    x: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> ProbeResult:
+def largest_prime_probe(x: int) -> ProbeResult:
     """Maximum of P(n^2+1) over (x, 2x], its exponent, and the x^(3/2) test.
 
-    The interval membership test max_p >= x^(3/2) is done in exact integers
-    as max_p^2 >= x^3; the upper end 4x^2+1 holds trivially.  No asymptotic
-    assertion is attached to the result.  On ties the smallest n wins.
-    Each segment gives only its maximum and the first n it occurs at.
+    n walks down from 2x.  Odd prime factors of n^2+1 are 1 (mod 4), so with
+    u(n) = n^2+1 without its factor 2, P(n^2+1) is u(n) if u(n) is prime and
+    at most u(n) / _LEAST_ODD_FACTOR if not.  A prime u(n) >= best takes best
+    (the smallest n wins a tie); the walk stops at the first even n with
+    u(n) < best, which bounds every smaller n.  Each composite u(n) that could
+    still reach best is factored by the sieve.  in_interval is max_p^2 >= x^3.
     """
     _check_x(x)
     if x < 2:
         raise ValueError("x must be >= 2 so the exponent is defined")
-    # max keeps the first of equal maxima, so the earliest segment wins a tie
-    max_prime, arg_n = max(
-        iter_columns(x + 1, 2 * x, segment_size, workers, _segment_max),
-        key=lambda best: best[0],
-    )
+    best, arg_n, open_n = 0, 0, []
+    for n in range(2 * x, x, -1):
+        u = (n * n + 1) >> (n & 1)
+        if u < best:
+            if not n & 1:
+                break
+        elif is_prime(u):
+            best, arg_n = u, n
+        else:
+            open_n.append((n, u))
+    for n, u in open_n:
+        if u // _LEAST_ODD_FACTOR >= best:
+            p = int(largest_column(n, n)[0])
+            if (p, -n) > (best, -arg_n):
+                best, arg_n = p, n
     return ProbeResult(
-        x=x,
-        max_prime=max_prime,
-        arg_n=arg_n,
-        exponent=math.log(max_prime) / math.log(x),
-        in_interval=max_prime * max_prime >= x**3,
+        x=x, max_prime=best, arg_n=arg_n, exponent=math.log(best) / math.log(x),
+        in_interval=best * best >= x**3,
     )

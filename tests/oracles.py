@@ -8,7 +8,8 @@ the package.  The per-n record type lives here too: the factorer returns a
 FactorizationRecord, and records_of builds the same records from the
 package's factor columns, so the two compare per n.  divisor_incidence
 counts every divisor key of the columns with one np.unique, the route the
-coverage curve is checked against.
+coverage curve is checked against, and largest_prime_oracle sieves all of
+(x, 2x], the route the probe's walk is checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Tuple
 
 from quadfactor.chebsums import power_cutoff
 from quadfactor.modmath import HI_MAX, U64_MAX, RootPair, is_prime
-from quadfactor.polysieve import FactorColumns
+from quadfactor.polysieve import FactorColumns, largest_column
 
 _TRIAL_BOUND = 10**6
 
@@ -83,6 +84,13 @@ def divisor_incidence(
         np.concatenate(keys), return_index=True, return_counts=True
     )
     return uniq, counts, np.concatenate(bases)[first]
+
+
+def largest_prime_oracle(x: int) -> Tuple[int, int]:
+    """(max P(n^2+1), the first n it occurs at) over (x, 2x], sieved whole."""
+    largest = largest_column(x + 1, 2 * x)
+    i = int(largest.argmax())  # argmax keeps the first of equal maxima
+    return int(largest[i]), x + 1 + i
 
 
 @dataclass(frozen=True, slots=True)

@@ -154,13 +154,14 @@ def test_workers_env_default(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "value, message",
     [("abc", "QUADFACTOR_WORKERS must be an integer, not 'abc'"),
-     ("0", "workers must be >= 1"), ("-3", "workers must be >= 1")],
+     ("0", "QUADFACTOR_WORKERS must be >= 1"), ("-3", "QUADFACTOR_WORKERS must be >= 1")],
     ids=["abc", "0", "-3"],
 )
 def test_invalid_workers_env_is_refused_before_any_work(
     monkeypatch, capsys, no_prime_work, value, message
 ):
-    # the variable is checked as --workers is, not read as 1 worker
+    # the variable is checked as --workers is, not read as 1 worker, and a
+    # refusal names the variable
     monkeypatch.setenv(cli.WORKERS_ENV, value)
     assert main(["records", "--n-max", "100"]) == 1
     captured = capsys.readouterr()
@@ -386,6 +387,22 @@ def test_startup_does_not_import_numpy():
     run = _fresh_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_probe_at_the_envelope_imports_no_numpy_and_builds_no_root_table():
+    # the walk from 2x certifies the maximum with is_prime alone: no n is left
+    # for the sieve, so neither numpy nor the root table is loaded
+    code = (
+        "import sys\n"
+        "from quadfactor import modmath\n"
+        "from quadfactor.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, 'numpy' in sys.modules, modmath._root_table_cache, file=sys.stderr)\n"
+    )
+    argv = ["probe", "--x", "1073741824", "--workers", "1"]
+    run = _fresh_python("-c", code, *argv)
+    golden = Path(__file__).resolve().parent / "golden" / "probe_envelope.stdout"
+    assert (run.stdout, run.stderr) == (golden.read_text(), "0 False None\n")
 
 
 def test_refused_requests_do_not_import_numpy():
@@ -807,16 +824,18 @@ def test_consumers_give_the_same_bytes_at_one_and_two_workers(tmp_path, argv, se
 
 
 # runs quadfactor as __main__ after registering an atexit hook that writes
-# the collector's freeze count and the process's thread count (0 where
-# /proc/self/task does not exist) to the path in argv[1]
+# the collector's freeze count, the process's thread count (0 where
+# /proc/self/task does not exist) and whether numpy was loaded (1 or 0) to
+# the path in argv[1]
 _EXIT_HOOK = (
     "import atexit, gc, os, runpy, sys\n"
     "stamp = sys.argv.pop(1)\n"
     "def hook():\n"
     "    task = '/proc/self/task'\n"
     "    threads = len(os.listdir(task)) if os.path.isdir(task) else 0\n"
+    "    numpy = int('numpy' in sys.modules)\n"
     "    with open(stamp, 'w') as out:\n"
-    "        out.write(f'{gc.get_freeze_count()} {threads}')\n"
+    "        out.write(f'{gc.get_freeze_count()} {threads} {numpy}')\n"
     "atexit.register(hook)\n"
     "runpy.run_module('quadfactor', run_name='__main__', alter_sys=True)\n"
 )
@@ -825,7 +844,8 @@ _EXIT_HOOK = (
 def _entry_point_exit(tmp_path, monkeypatch, argv, **env):
     """Runs argv through the entry point with env added to the caller's
     environment, checks that its exit code and bytes are those of main(argv)
-    in-process, and returns (exit code, freeze count, thread count) at exit."""
+    in-process, and returns (exit code, freeze count, thread count, numpy
+    loaded) at exit."""
     stamp = tmp_path / "stamp"
     env = dict(_fresh_env(), COLUMNS="80", **env)
     env.pop(cli.WORKERS_ENV, None)
@@ -839,8 +859,8 @@ def _entry_point_exit(tmp_path, monkeypatch, argv, **env):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert (run.returncode, run.stdout, run.stderr) == (rc, out.getvalue(), err.getvalue())
-    freeze, threads = map(int, stamp.read_text().split())
-    return rc, freeze, threads
+    freeze, threads, numpy = map(int, stamp.read_text().split())
+    return rc, freeze, threads, bool(numpy)
 
 
 @pytest.mark.parametrize(
@@ -856,18 +876,20 @@ def test_entry_point_freezes_the_collector_and_keeps_exit(tmp_path, monkeypatch,
     # the atexit hook runs (no os._exit), sees the request's objects frozen
     # out of the teardown collections, and the exit code and bytes are those
     # of main(argv) in-process
-    rc, freeze, _ = _entry_point_exit(tmp_path, monkeypatch, argv)
+    rc, freeze, _, _ = _entry_point_exit(tmp_path, monkeypatch, argv)
     assert rc == (1 if argv[0] == "chain" else 0)
     assert freeze > 0
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_entry_point_runs_one_thread_whatever_the_callers_blas_setting(tmp_path, monkeypatch):
-    # probe imports numpy; run() pins OpenBLAS to one thread before that, over
-    # the caller's value, so no BLAS worker thread is left at exit
-    argv = ["probe", "--x", "500", "--workers", "1"]
-    rc, freeze, threads = _entry_point_exit(tmp_path, monkeypatch, argv, OPENBLAS_NUM_THREADS="4")
-    assert (rc, threads) == (0, 1)
+    # records imports numpy; run() pins OpenBLAS to one thread before that,
+    # over the caller's value, so no BLAS worker thread is left at exit
+    argv = ["records", "--n-max", "500", "--workers", "1"]
+    rc, freeze, threads, numpy = _entry_point_exit(
+        tmp_path, monkeypatch, argv, OPENBLAS_NUM_THREADS="4"
+    )
+    assert (rc, threads, numpy) == (0, 1, True)
     assert freeze > 0
 
 

@@ -114,6 +114,7 @@ CASES = {
     "probe_csv": ["probe", "--x", "500", "--workers", "1"],
     "probe_jsonl": ["probe", "--x", "500", "--format", "jsonl", "--workers", "1"],
     "probe_segments_w2": ["probe", "--x", "3000", "--segment-size", "97", "--workers", "2"],
+    "probe_envelope": ["probe", "--x", "1073741824", "--workers", "1"],
 }
 
 

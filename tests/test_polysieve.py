@@ -11,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadfactor import chebsums, modmath, polysieve, verifier
+from quadfactor import chebsums, modmath, polysieve
 from quadfactor.cli import main
 from quadfactor.modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, is_prime, iter_primes
 from quadfactor.polysieve import (
@@ -23,7 +23,7 @@ from quadfactor.polysieve import (
     records_scan,
     sieve_columns,
 )
-from quadfactor.verifier import contradiction_probe, coverage_curve, largest_prime_probe
+from quadfactor.verifier import contradiction_probe, coverage_curve
 from quadfactor.rootcount import count_exact
 from quadfactor.modmath import sqrt_minus_one
 
@@ -478,31 +478,6 @@ def test_bad_residual_raises_and_exits_2(capsys):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.err == "internal check failed: residual 93077 at n=1100 is not prime\n"
-
-
-def test_probe_keeps_the_first_n_on_ties(monkeypatch):
-    # only the largest column is read, here a hand-made one per segment of
-    # (10, 20] cut in threes: the maximum 17 first occurs at n = 12, again
-    # later in the same segment and in the next ones
-    columns = {11: [5, 17, 13], 14: [17, 17, 5], 17: [17, 2, 17], 20: [17]}
-    monkeypatch.setattr(
-        verifier, "largest_column", lambda lo, hi: np.array(columns[lo], dtype=np.uint64)
-    )
-    for workers in (1, 2):
-        result = largest_prime_probe(10, segment_size=3, workers=workers)
-        assert (result.max_prime, result.arg_n) == (17, 12)
-    columns = {11: [3, 3, 3], 14: [3, 3, 3], 17: [3, 3, 3], 20: [3]}
-    result = largest_prime_probe(10, segment_size=3)
-    assert (result.max_prime, result.arg_n) == (3, 11)
-    monkeypatch.undo()
-    # the same rule as max() over the records, which keeps the first maximum
-    rng = random.Random(77)
-    for _ in range(5):
-        x = rng.randrange(2, 5000)
-        records = [rec for cols in iter_columns(x + 1, 2 * x) for rec in records_of(cols)]
-        best = max(records, key=lambda rec: rec.largest_prime)
-        result = largest_prime_probe(x, segment_size=rng.randrange(1, x + 1))
-        assert (result.max_prime, result.arg_n) == (best.largest_prime, best.n)
 
 
 def _record_incidence(records, y_cutoff, count_prime_powers):

@@ -10,8 +10,8 @@ import pytest
 from quadfactor import polysieve, verifier
 from quadfactor.chebsums import power_cutoff, sum_ledger
 from quadfactor.cli import main
-from quadfactor.modmath import iter_primes, sqrt_minus_one
-from quadfactor.polysieve import iter_columns, records_scan
+from quadfactor.modmath import is_prime, iter_primes, sqrt_minus_one
+from quadfactor.polysieve import iter_columns, largest_column, records_scan
 from quadfactor.rootcount import count_in_class, count_root_classes
 from quadfactor.verifier import (
     contradiction_probe,
@@ -20,7 +20,7 @@ from quadfactor.verifier import (
     largest_prime_probe,
 )
 
-from oracles import divisor_incidence, hensel_lift, trial_division_factor
+from oracles import divisor_incidence, hensel_lift, largest_prime_oracle, trial_division_factor
 
 
 def _key_terms(x, with_prime_powers, top=None):
@@ -219,10 +219,9 @@ def test_contradiction_probe_reads_each_cutoff_off_one_pass(x, segment_size):
     [
         lambda size: contradiction_probe(1000, [0.0, 0.5], segment_size=size),
         lambda size: coverage_curve(1000, segment_size=size),
-        lambda size: largest_prime_probe(1000, segment_size=size),
         lambda size: list(records_scan(1000, segment_size=size)),
     ],
-    ids=["contradiction_probe", "coverage_curve", "largest_prime_probe", "records_scan"],
+    ids=["contradiction_probe", "coverage_curve", "records_scan"],
 )
 def test_column_consumers_hold_at_most_one_segment(monkeypatch, consume):
     # each segment is reduced where it is sieved: when the next segment's
@@ -307,6 +306,45 @@ def test_largest_prime_probe_against_oracle():
     assert probe.max_prime == oracle_best
     assert probe.in_interval == (probe.max_prime**2 >= x**3)
     assert probe.in_interval
+
+
+def test_least_odd_factor_bounds_every_composite_u_tightly():
+    # the walk's premise: u(n), n^2+1 without its factor 2, has only odd prime
+    # factors, each at least _LEAST_ODD_FACTOR, so a composite u(n) has
+    # P(n^2+1) <= u(n) // _LEAST_ODD_FACTOR, with equality for some n
+    gaps = []
+    for n, p in enumerate(largest_column(2, 20000).tolist(), 2):
+        u = (n * n + 1) >> (n & 1)
+        if not is_prime(u):
+            gaps.append(u // verifier._LEAST_ODD_FACTOR - p)
+    assert min(gaps) == 0
+
+
+def test_largest_prime_probe_matches_the_sieve_oracle():
+    # the oracle's argmax keeps the first n of a tied maximum, as the walk must
+    rng = random.Random(2026)
+    xs = [*range(2, 3001), *(2**k for k in range(12, 21))]
+    for x in xs + [rng.randrange(3001, 10**6 + 1) for _ in range(10)]:
+        probe = largest_prime_probe(x)
+        assert (probe.max_prime, probe.arg_n) == largest_prime_oracle(x), x
+
+
+def test_largest_prime_probe_fallback_alone_gives_the_oracle_row(monkeypatch):
+    # a least odd factor of 1 is a weaker bound, P(n^2+1) <= u(n), but still a
+    # true one, so every composite u(n) >= best on the walk goes to the sieve
+    factored = []
+
+    def counted(lo, hi):
+        factored.append((lo, hi))
+        return largest_column(lo, hi)
+
+    monkeypatch.setattr(verifier, "_LEAST_ODD_FACTOR", 1)
+    monkeypatch.setattr(verifier, "largest_column", counted)
+    for x in range(2, 1001):
+        probe = largest_prime_probe(x)
+        assert (probe.max_prime, probe.arg_n) == largest_prime_oracle(x), x
+    assert len(factored) > 1000
+    assert all(lo == hi for lo, hi in factored)
 
 
 def test_largest_prime_probe_larger_scale_reported():
