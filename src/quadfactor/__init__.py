@@ -3,10 +3,16 @@ and evaluate the log-weighted sum decompositions that locate its prime
 divisors.
 
 The exports below are loaded on first use (PEP 562), so importing the
-package, or the CLI through it, loads none of its submodules.
+package, or the CLI through it, loads none of its submodules: the CLI's
+envelope constants, HI_MAX and DEFAULT_SEGMENT_SIZE, are defined here.
 """
 
 import importlib
+
+DEFAULT_SEGMENT_SIZE = 1 << 20
+# Largest sieve bound: primes and roots fit uint32, and the products of two
+# residues below it fit 62 bits, so batched arithmetic in int64 is exact.
+HI_MAX = 2**31
 
 _EXPORTS = {
     "chebsums": ("SumLedger", "mertens_prefixes", "power_cutoff", "sum_ledger"),

@@ -11,8 +11,7 @@ ascending stream, so every cutoff of a request is read off a single pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _class_sieve, _logs, iter_root_rows
 from .rootcount import _floor_identity
@@ -105,8 +104,7 @@ def _prefix_sums(
     return out + [final] * (len(marks) - len(out))
 
 
-@dataclass(frozen=True, slots=True)
-class SumLedger:
+class SumLedger(NamedTuple):
     """Everything evaluated for one (x, delta) pair; n_trunc sums log p times
     the count of n in (x, 2x] with p | n^2 + 1 over p <= cutoff."""
 

@@ -20,11 +20,12 @@ through the template itself (_format_blocks): verify counts and probe
 never load numpy.
 
 Each request is a fresh interpreter, so start-up is part of its cost.  At
-module level this imports only argparse, the stdlib every subcommand needs
-and modmath's envelope constants.  Each subcommand imports its own modules
-after its argument checks, and stdlib that one branch needs (tempfile, the
-fork pool) is imported in that branch: --help, a refused request or verify
-counts never import the sieve, the sum ledgers, the CSV kernel or numpy.
+module level this imports argparse, the stdlib every subcommand needs and
+the package root's envelope constants: --help loads no compute module.
+Each subcommand imports its own modules after its argument checks, and
+stdlib that one branch needs (tempfile) is imported in that branch: a
+refused request or verify counts never import the sieve, the sum ledgers,
+the CSV kernel or numpy.
 numpy's OpenBLAS starts a busy-waiting worker thread per extra CPU when it
 loads, and no path here calls BLAS, so run() pins it to one thread before
 main() can import numpy.  The request's end is part of its cost too: run()
@@ -44,7 +45,7 @@ import os
 import sys
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX
+from . import DEFAULT_SEGMENT_SIZE, HI_MAX
 
 WORKERS_ENV = "QUADFACTOR_WORKERS"
 X_MAX = HI_MAX // 2

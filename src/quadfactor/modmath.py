@@ -12,18 +12,15 @@ import itertools
 import math
 import os
 import stat
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple
+
+from . import DEFAULT_SEGMENT_SIZE, HI_MAX
 
 if TYPE_CHECKING:
     import numpy
 
 U64_MAX = 2**64 - 1
-DEFAULT_SEGMENT_SIZE = 1 << 20
-# Largest sieve bound: primes and roots fit uint32, and the products of two
-# residues below it fit 62 bits, so batched arithmetic in int64 is exact.
-HI_MAX = 2**31
 # Candidates 4i+1 examined per chunk of the root-table sieve.
 _TABLE_CHUNK = 1 << 18
 
@@ -34,25 +31,27 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True, slots=True)
-class RootPair:
+class RootPair(NamedTuple("_RootFields", [("p", int), ("b", int)])):
     """A prime p = 1 (mod 4) together with the root b of b^2 = -1 (mod p).
 
     Only the representative in (0, p/2) is stored; the second root is p - b.
     Primality of p is the constructor's caller contract (sqrt_minus_one
-    checks it); the root relation and normalization are re-validated here.
+    checks it); the root relation and normalization are re-validated on
+    every path that makes a pair: a call, _make, _replace and unpickling.
     """
 
-    p: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p % 4 != 1:
-            raise ValueError(f"p={self.p} is not 1 mod 4")
-        if not 0 < 2 * self.b < self.p:
-            raise ValueError(f"root {self.b} outside (0, {self.p}/2)")
-        if (self.b * self.b + 1) % self.p:
-            raise ValueError(f"{self.b}^2 + 1 is not divisible by {self.p}")
+    def __new__(cls, p: int, b: int) -> "RootPair":
+        if p % 4 != 1:
+            raise ValueError(f"p={p} is not 1 mod 4")
+        if not 0 < 2 * b < p:
+            raise ValueError(f"root {b} outside (0, {p}/2)")
+        if (b * b + 1) % p:
+            raise ValueError(f"{b}^2 + 1 is not divisible by {p}")
+        return super().__new__(cls, p, b)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace goes through _make
 
 
 def is_prime(n: int) -> bool:

@@ -19,7 +19,8 @@ p^e at every hit leaves.
 That pass, the hit core (_sieve_hits), gives every hit as a position, a
 prime and its exponent, plus the residual of every n, and audits a sample
 of the residuals.  Each consumer then takes one layout of it, built where
-the segment is sieved:
+the segment is sieved: with workers > 1, in a child of iter_columns' fork
+map, which holds at most one result the consumer has not read.
 - sieve_columns, the CSR layout FactorColumns: counts[i] factors for
   n = lo + i, stored flat in primes/exponents in ascending order (2 first
   for odd n, then the sieved primes, then the residual prime), and
@@ -32,11 +33,8 @@ the segment is sieved:
 
 from __future__ import annotations
 
-import collections
-import itertools
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Tuple, TypeVar
 
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
 
@@ -46,8 +44,7 @@ _RESIDUAL_SPOT_CHECK_STRIDE = 4093  # sampled primality audit of residuals
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, slots=True)
-class FactorColumns:
+class FactorColumns(NamedTuple):
     """The factorizations of n^2 + 1 for n = lo, lo + 1, ..., flat.
 
     The factors of n = lo + i are the next counts[i] entries of primes and
@@ -75,8 +72,7 @@ def _exponent(lo: int, largest: "numpy.ndarray") -> "numpy.ndarray":
     return _logs(largest) / _logs(np.arange(lo, lo + len(largest), dtype=np.int64))
 
 
-@dataclass(frozen=True, slots=True)
-class RecordBlock:
+class RecordBlock(NamedTuple):
     """The records scan over one segment, n = lo, lo + 1, ...
 
     largest[i] is P(n^2 + 1) (uint64), exponent[i] is log P / log n (float64) and
@@ -256,52 +252,81 @@ def iter_columns(
 
     reduce is a layout of the hit core (sieve_columns by default), or a
     consumer's reduction of one; it runs where the segment is sieved, so
-    only what it returns leaves the segment.  Segments are independent work
-    units; with workers > 1 they run in a fork pool, which pickles reduce
-    and each result, and are re-sequenced by segment index, so the stream
-    is identical for any worker count.  The root table for hi is built
-    once, before the pool forks, so workers inherit it.  workers is first
-    cut to the CPUs this process may run on (_usable_cpus), so with one
-    usable CPU no pool starts; at most twice that many segments are
-    submitted ahead of the consumer, so the results held in memory are
-    bounded for any worker count.
+    only what it returns leaves the segment.  workers is cut to the CPUs
+    this process may run on (_usable_cpus) and to the segment count.  One
+    worker runs the segments in this process; more run them in a fork map
+    (_fork_map), started after the root table for hi is built, so workers
+    inherit it.  The stream is identical for any worker count, and memory
+    is bounded for any: each worker holds at most one result the consumer
+    has not taken, plus one pipe buffer.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    bounds = [
-        (s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size)
-    ]
+    bounds = [(s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size)]
     if not bounds:
         return
     root_table(hi)
-    workers = min(workers, _usable_cpus())
-    if workers == 1 or len(bounds) <= 1:
+    workers = min(workers, _usable_cpus(), len(bounds))
+    if workers == 1:
         for seg in bounds:
             yield reduce(*seg)
         return
-    import concurrent.futures
-    import multiprocessing
+    yield from _fork_map(reduce, bounds, workers)
 
-    ctx = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(workers, len(bounds)), mp_context=ctx
-    ) as pool:
-        todo = iter(bounds)
-        pending = collections.deque(
-            pool.submit(reduce, *seg) for seg in itertools.islice(todo, 2 * workers)
-        )
-        try:
-            while pending:
-                result = pending.popleft().result()
-                seg = next(todo, None)
-                if seg is not None:
-                    pending.append(pool.submit(reduce, *seg))
-                yield result
-        finally:
-            for future in pending:
-                future.cancel()
+
+def _fork_map(
+    reduce: Callable[[int, int], T], bounds: list[Tuple[int, int]], workers: int
+) -> Iterator[T]:
+    """reduce(*bounds[i]) for each i, in order, from workers forked children.
+
+    Child k reduces segments k, k + workers, ... in order and writes each
+    result to its own pipe as an 8-byte length and a pickle, blocking while
+    the pipe is full; the parent reads pipe i mod workers for segment i.
+    An exception in reduce is raised here at its segment, and a pipe that
+    ends early raises RuntimeError naming it.  A child ends with os._exit:
+    it flushes no inherited stdio buffer and runs no atexit handler.  Once
+    the stream ends, fails or is closed, every child is killed and reaped.
+    """
+    import pickle
+
+    pids, pipes = [], []
+    try:
+        for k in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as out:  # the parent's copy closes here
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        for pipe in pipes:  # if the parent dies, a write fails, not blocks
+                            pipe.close()
+                        for seg in bounds[k::workers]:
+                            try:
+                                data = pickle.dumps((True, reduce(*seg)))
+                            except BaseException as exc:
+                                data = pickle.dumps((False, exc))
+                            out.writelines((len(data).to_bytes(8, "little"), data))
+                            out.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        for i, seg in enumerate(bounds):
+            size = int.from_bytes(pipes[i % workers].read(8), "little")
+            data = pipes[i % workers].read(size)
+            if not size or len(data) < size:
+                raise RuntimeError(f"segment [{seg[0]}, {seg[1]}]: its worker ended early")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL; the signal module would take 1.5 ms to import
+            os.waitpid(pid, 0)
 
 
 def _usable_cpus() -> int:

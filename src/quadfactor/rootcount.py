@@ -8,14 +8,13 @@ kept as exact residues over p; nothing is rounded before comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .modmath import RootPair
 
 
-@dataclass(frozen=True, slots=True)
-class SolutionCount:
+class SolutionCount(NamedTuple):
     """One (x, p) evaluation: exact count, floor-identity count, upper bound."""
 
     x: int

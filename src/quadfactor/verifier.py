@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from .chebsums import _ExactSum, power_cutoff, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
@@ -34,8 +33,7 @@ _HIGH_MASK = (1 << 27) - 1
 _LEAST_ODD_FACTOR = 5  # odd prime factors of n^2+1 are 1 (mod 4)
 
 
-@dataclass(frozen=True, slots=True)
-class ChainLedger:
+class ChainLedger(NamedTuple):
     """One (x, delta) evaluation of the truncated-sum inequality chain.
 
     n_trunc sums log p * incidence(p) over primes up to the cutoff (the p = 2
@@ -60,8 +58,7 @@ class ChainLedger:
     margin_exact: float
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class CoverageCurve:
+class CoverageCurve(NamedTuple):
     """Cumulative share of sum(log(n^2+1)) explained by divisors up to y.
 
     points holds (y, C, rho) at the delta grid cutoffs y = x^(1+delta) plus
@@ -78,6 +75,8 @@ class CoverageCurve:
     points: Tuple[Tuple[int, float, float], ...]
     keys: "numpy.ndarray"
     covered: "numpy.ndarray"
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def delta_star(self) -> Optional[float]:
@@ -98,8 +97,7 @@ class CoverageCurve:
         return math.log(d) / math.log(self.x) - 1.0 if self.x > 1 else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Largest prime factor over (x, 2x] and where it lands."""
 
     x: int

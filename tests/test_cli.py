@@ -330,6 +330,51 @@ def _fresh_python(*args, **env):
     )
 
 
+# the entry point with two usable CPUs, whatever the host, so the fork pool runs
+_TWO_CPUS = (
+    "import sys\n"
+    "from quadfactor import cli, polysieve\n"
+    "polysieve._usable_cpus = lambda: 2\n"
+)
+
+
+def test_pool_workers_flush_no_inherited_output():
+    # stdout is a block-buffered pipe (no PYTHONUNBUFFERED), so the CSV header
+    # is still in the parent's buffer when the workers fork; a worker that
+    # flushed its copy on exit would write the header again
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = ["records", "--n-max", "5000", "--segment-size", "333", "--workers", "2"]
+    run = subprocess.run(
+        [sys.executable, "-c", _TWO_CPUS + "sys.exit(cli.run())\n", *argv],
+        env=env, capture_output=True, timeout=60,
+    )
+    golden = Path(__file__).resolve().parent / "golden" / "records_segments_w2.stdout"
+    assert (run.returncode, run.stdout, run.stderr) == (0, golden.read_bytes(), b"")
+
+
+def test_a_killed_pool_worker_fails_the_request_and_writes_nothing(tmp_path):
+    # the worker of segment [1002, 1501] dies by SIGKILL: the request fails,
+    # naming that segment, and the -o target is absent (complete or absent)
+    code = _TWO_CPUS + (
+        "import os, signal\n"
+        "reduce = polysieve._record_columns\n"
+        "def dying(lo, hi):\n"
+        "    if lo == 1002:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return reduce(lo, hi)\n"
+        "polysieve._record_columns = dying\n"
+        "sys.exit(cli.run())\n"
+    )
+    target = tmp_path / "records.csv"
+    argv = ["records", "--n-max", "5000", "--segment-size", "500", "--workers", "2",
+            "-o", str(target)]
+    run = _fresh_python("-c", code, *argv)
+    assert run.returncode != 0
+    assert "segment [1002, 1501]" in run.stderr, run.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("x_max", [1, 10, 100])
 def test_verify_counts_ends_for_small_x(x_max):
     # primes are drawn up to 10^5; one above 4 x_max^2 + 1 fits no x <= x_max
@@ -457,12 +502,15 @@ def test_each_subcommand_imports_only_what_it_runs():
     # what a bare interpreter imports (site customizations included) is not
     # charged to the request
     bare = _imported("-c", "pass")
-    compute = {f"quadfactor.{name}" for name in ("chebsums", "polysieve", "verifier", "rootcount")}
-    heavy = {"numpy", "multiprocessing", "concurrent.futures", "fractions"}
+    names = ("modmath", "chebsums", "polysieve", "verifier", "rootcount")
+    compute = {f"quadfactor.{name}" for name in names}
+    heavy = {"numpy", "multiprocessing", "concurrent.futures", "fractions", "dataclasses"}
     for sub in ("", "sieve", "records", "sums", "verify", "coverage", "chain", "probe"):
         loaded = _imported("-m", "quadfactor", *sub.split(), "--help") - bare
         assert "quadfactor.cli" in loaded
         assert not loaded & (compute | heavy), sub
+    # no result type is a dataclass, and the fork pool imports no pool library
+    pool = {"multiprocessing", "concurrent.futures"}
     cases = (
         (
             ["sums", "--x", "1000", "--delta", "0", "--delta", "0.5"],
@@ -478,19 +526,30 @@ def test_each_subcommand_imports_only_what_it_runs():
         (
             ["sieve", "--lo", "2", "--hi", "3000", "--segment-size", "500", "--workers", "1"],
             {"quadfactor.polysieve", "numpy"},
-            {"quadfactor.chebsums", "quadfactor.verifier", "quadfactor.rootcount",
-             "multiprocessing", "concurrent.futures"},
+            {"quadfactor.chebsums", "quadfactor.verifier", "quadfactor.rootcount", *pool},
         ),
         (
             ["records", "--n-max", "3000", "--segment-size", "500", "--workers", "2"],
-            {"quadfactor.polysieve", "numpy", "multiprocessing"},
-            {"quadfactor.chebsums", "quadfactor.verifier", "quadfactor.rootcount"},
+            {"quadfactor.polysieve", "numpy"},
+            {"quadfactor.chebsums", "quadfactor.verifier", "quadfactor.rootcount", *pool},
         ),
+        (
+            ["coverage", "--x", "300", "--segment-size", "97", "--workers", "2"],
+            {"quadfactor.verifier", "numpy"},
+            pool,
+        ),
+        (
+            ["chain", "--x", "1000", "--delta-grid", "0,0.5", "--segment-size", "97",
+             "--workers", "2"],
+            {"quadfactor.verifier", "numpy"},
+            pool,
+        ),
+        (["probe", "--x", "3000"], {"quadfactor.verifier"}, {"numpy", *pool}),
     )
     for argv, needed, unneeded in cases:
         imported = _imported("-m", "quadfactor", *argv, "-o", os.devnull)
         assert needed <= imported, argv
-        assert not (imported - bare) & unneeded, argv
+        assert not (imported - bare) & (unneeded | {"dataclasses"}), argv
     # importing the package loads no submodule; each export is served on use
     code = (
         "import importlib, json, sys\n"

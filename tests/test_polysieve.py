@@ -1,9 +1,8 @@
 import collections
-import concurrent.futures
-import itertools
 import math
-import multiprocessing
+import os
 import random
+import time
 from unittest import mock
 
 import numpy as np
@@ -306,10 +305,7 @@ def test_workers_give_identical_stream():
 def test_pool_worker_returns_plain_columns():
     # a pool worker ships numpy columns, not per-n objects, and the columns
     # that come back through the pickle rebuild the records of one sieve pass
-    with concurrent.futures.ProcessPoolExecutor(
-        1, mp_context=multiprocessing.get_context("fork")
-    ) as pool:
-        columns = pool.submit(sieve_columns, 2, 300).result()
+    (columns,) = polysieve._fork_map(sieve_columns, [(2, 300)], 1)
     assert isinstance(columns, FactorColumns)
     assert columns.lo == 2
     for name, dtype in (("counts", np.uint8), ("primes", np.uint64),
@@ -323,61 +319,27 @@ def test_pool_worker_returns_plain_columns():
     ]
 
 
-def test_iter_records_bounds_segments_in_flight(monkeypatch):
-    submitted = []
+def test_iter_records_bounds_segments_in_flight(monkeypatch, tmp_path):
+    # a worker blocks on its full pipe, so it holds at most one result the
+    # consumer has not taken; each result here (1 MiB) outgrows a pipe buffer
+    monkeypatch.setattr(polysieve, "_usable_cpus", lambda: 2)
+    done = tmp_path / "done"
+    done.touch()
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(fn, *args, **kwargs)
+    def reduce(lo, hi):
+        block = np.full(1 << 17, lo, dtype=np.int64)
+        with open(done, "ab") as out:  # one byte per finished segment, from any process
+            out.write(b".")
+        return block
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     workers, size = 2, 50
-    records = []
-    stream = iter_columns(2, 1201, segment_size=size, workers=workers)
-    for k, rec in enumerate(itertools.chain.from_iterable(map(records_of, stream))):
-        # segment k // size is being consumed; at most 2 * workers beyond it
-        assert len(submitted) <= k // size + 1 + 2 * workers, (k, len(submitted))
-        records.append(rec)
-    assert len(submitted) == 24
-    assert records == [
-        rec for cols in iter_columns(2, 1201, segment_size=size) for rec in records_of(cols)
-    ]
-
-
-class InlinePool:
-    """A stand-in ProcessPoolExecutor that runs each task when it is
-    submitted, recording max_workers and the most results held at once."""
-
-    max_workers = []
-    most_ahead = 0
-
-    def __init__(self, max_workers, mp_context=None):
-        InlinePool.max_workers.append(max_workers)
-        self.ahead = 0  # submitted, not yet taken by the consumer
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, /, *args):
-        self.ahead += 1
-        InlinePool.most_ahead = max(InlinePool.most_ahead, self.ahead)
-        return InlineResult(self, fn(*args))
-
-
-class InlineResult:
-    def __init__(self, pool, value):
-        self.pool, self.value = pool, value
-
-    def result(self):
-        self.pool.ahead -= 1
-        return self.value
-
-    def cancel(self):
-        return False
+    stream = iter_columns(2, 1201, segment_size=size, workers=workers, reduce=reduce)
+    for k, block in enumerate(stream):
+        time.sleep(0.02)  # the workers run ahead as far as they may
+        # k + 1 results taken, and at most one more finished per worker
+        assert done.stat().st_size <= k + 1 + workers, k
+        assert block.shape == (1 << 17,) and (block == 2 + k * size).all(), k
+    assert done.stat().st_size == 24
 
 
 @pytest.mark.parametrize(
@@ -385,38 +347,52 @@ class InlineResult:
     [({0, 1}, 64, 2), ({3}, 64, 1), (None, 3, 3), (None, None, 1)],
 )
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch, affinity, cpu_count, cap):
-    # --workers 64 on a small host forks no more processes than it may use,
-    # and holds no more than twice that many segments ahead of the consumer
+    # --workers 64 on a small host forks no more processes than it may use
     if affinity is None:
         monkeypatch.delattr(polysieve.os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(polysieve.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(polysieve.os, "cpu_count", lambda: cpu_count)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(InlinePool, "max_workers", [])
-    monkeypatch.setattr(InlinePool, "most_ahead", 0)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(polysieve.os, "fork", counted_fork)
     streamed = [records_of(cols) for cols in iter_columns(2, 1201, 50, workers=64)]
-    # one usable CPU runs the segments in-process, with no pool
-    pools = [cap] if cap > 1 else []
-    assert (InlinePool.max_workers, InlinePool.most_ahead) == (pools, 2 * cap if pools else 0)
+    # one usable CPU runs the segments in-process, with no fork
+    assert len(forks) == (cap if cap > 1 else 0)
     assert streamed == [records_of(cols) for cols in iter_columns(2, 1201, 50)]
     # a request with fewer segments than CPUs still takes the pool path
-    InlinePool.max_workers.clear()
+    forks.clear()
     list(iter_columns(2, 61, 50, workers=64))
-    assert InlinePool.max_workers == ([min(cap, 2)] if pools else [])
+    assert len(forks) == (min(cap, 2) if cap > 1 else 0)
 
 
 def test_one_usable_cpu_streams_in_process(monkeypatch):
-    # --workers 2 where the process may run on one CPU forks no pool
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    # --workers 2 where the process may run on one CPU forks nothing
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
     monkeypatch.setattr(polysieve, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(polysieve.os, "fork", no_fork)
     streamed = [records_of(cols) for cols in iter_columns(2, 1201, 50, workers=2)]
     assert streamed == [
         records_of(sieve_columns(lo, min(lo + 49, 1201))) for lo in range(2, 1202, 50)
     ]
+
+
+def test_closing_the_pool_stream_early_leaves_no_child(monkeypatch):
+    # a consumer that stops after the first segment: every worker is killed
+    # and reaped, so no child is left, not even a zombie
+    monkeypatch.setattr(polysieve, "_usable_cpus", lambda: 2)
+    stream = iter_columns(2, 200_000, 1000, workers=2)
+    assert records_of(next(stream)) == records_of(sieve_columns(2, 1001))
+    stream.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sieve_segment_prime_power_above_the_width():
