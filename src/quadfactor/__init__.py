@@ -4,7 +4,8 @@ divisors.
 
 The exports below are loaded on first use (PEP 562), so importing the
 package, or the CLI through it, loads none of its submodules: the CLI's
-envelope constants, HI_MAX and DEFAULT_SEGMENT_SIZE, are defined here.
+envelope constants, HI_MAX and DEFAULT_SEGMENT_SIZE, and the error of a
+lost pool worker, WorkerLost, are defined here.
 """
 
 import importlib
@@ -13,6 +14,11 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # Largest sieve bound: primes and roots fit uint32, and the products of two
 # residues below it fit 62 bits, so batched arithmetic in int64 is exact.
 HI_MAX = 2**31
+
+
+class WorkerLost(RuntimeError):
+    """A fork-pool worker ended before it sent a segment's result."""
+
 
 _EXPORTS = {
     "chebsums": ("SumLedger", "mertens_prefixes", "power_cutoff", "sum_ledger"),

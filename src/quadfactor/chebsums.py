@@ -6,6 +6,9 @@ The terms are formed a chunk of primes at a time as float64 arrays and
 summed exactly, then rounded once when read: every sum equals math.fsum of
 its terms, independent of order and chunking.  Each is a prefix sum of one
 ascending stream, so every cutoff of a request is read off a single pass.
+The prime streams (modmath) and the floor identity (rootcount) are
+imported by the passes that read them, so a request refused at its
+cutoffs (power_cutoff) compiles neither.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _class_sieve, _logs, iter_root_rows
-from .rootcount import _floor_identity
+from . import DEFAULT_SEGMENT_SIZE, HI_MAX
 
 if TYPE_CHECKING:
     import numpy
@@ -164,6 +166,8 @@ def mertens_prefixes(cutoffs: Sequence[int], q: int, a: int) -> list[float]:
         return []
     import numpy as np
 
+    from .modmath import _class_sieve, _logs
+
     def chunks():
         for n0, flags in _class_sieve(2, marks[-1], q, a % q, DEFAULT_SEGMENT_SIZE):
             p = n0 + q * np.frombuffer(flags, np.bool_).nonzero()[0]
@@ -191,6 +195,9 @@ def sum_ledger(x: int, deltas: Sequence[float]) -> list[SumLedger]:
         return []
     marks = sorted(set(cutoffs))
     import numpy as np
+
+    from .modmath import _logs, iter_root_rows
+    from .rootcount import _floor_identity
 
     def chunks():
         for rows in iter_root_rows(marks[-1]):

@@ -3,7 +3,9 @@
 Data rows go to --output (or stdout) as CSV or JSON lines; everything else
 goes to stderr.  An --output file is complete or absent: it is renamed into
 place only after its last row.  Exit codes: 0 success, 1 validation/usage
-error (or a reader that closed stdout early), 2 internal assertion failure.
+error, a reader that closed stdout early, or a pool worker that ended
+before its segment's result (killed by the OS, say: one "error: segment
+[a, b]: its worker ended early" line), 2 internal assertion failure.
 
 Every subcommand declares its columns once, each with a kind, and its
 rows have the bytes of one row template built from them: ints as %d,
@@ -14,18 +16,18 @@ values by those column names.  sieve and records, one row per n, hand
 their segments to one emitter (_emit_columns) as numpy column blocks, with
 sieve's factorizations as CSR columns.  Their CSV is written by a numpy
 kernel (the csvtext module) with the template's bytes, the blocks cut and
-joined across segments to at most _ROWS_PER_WRITE rows; their JSON lines,
-and the other subcommands, which hand all their rows over as one block, go
-through the template itself (_format_blocks): verify counts and probe
-never load numpy.
+joined across segments to at most _ROWS_PER_WRITE rows, a size that keeps
+each block's work in the cache; their JSON lines, and the other
+subcommands, which hand all their rows over as one block, go through the
+template itself (_format_blocks): verify counts and probe never load numpy.
 
 Each request is a fresh interpreter, so start-up is part of its cost.  At
 module level this imports argparse, the stdlib every subcommand needs and
 the package root's envelope constants: --help loads no compute module.
 Each subcommand imports its own modules after its argument checks, and
 stdlib that one branch needs (tempfile) is imported in that branch: a
-refused request or verify counts never import the sieve, the sum ledgers,
-the CSV kernel or numpy.
+refused request or verify counts never import the sieve, the CSV kernel
+or numpy, and a refused sums compiles no prime stream (modmath).
 numpy's OpenBLAS starts a busy-waiting worker thread per extra CPU when it
 loads, and no path here calls BLAS, so run() pins it to one thread before
 main() can import numpy.  The request's end is part of its cost too: run()
@@ -45,12 +47,19 @@ import os
 import sys
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from . import DEFAULT_SEGMENT_SIZE, HI_MAX
+from . import DEFAULT_SEGMENT_SIZE, HI_MAX, WorkerLost
 
 WORKERS_ENV = "QUADFACTOR_WORKERS"
 X_MAX = HI_MAX // 2
 Q_MAX = 10**4
-_ROWS_PER_WRITE = 1 << 16  # a 2^20-row block joined whole held ~100 MB more
+# Rows per emit block: one csvtext kernel call for sieve and records CSV,
+# one join of template rows otherwise.  2^13 keeps a records block's row
+# matrix (46 bytes a row, 368 KB) and the kernel's temporaries in a core's
+# 2 MB L2 cache: on the benchmark's records stream (152,231 rows) the
+# kernel took 32.7 ms at 2^13 rows, 34.2 at 2^12, 33.8 at 2^14 and 38.2 at
+# 2^16 (min of 15 interleaved runs, BENCH_emit_blocks.json).  A 2^20-row
+# block joined whole held ~100 MB more.
+_ROWS_PER_WRITE = 1 << 13
 # column kind -> (CSV conversion, JSON conversion); the CSV float is
 # format(v, ".17g") and the JSON one json.dumps' repr.  bool values are
 # written as the JSON literals, str values must need no JSON escape.
@@ -474,7 +483,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, WorkerLost) as exc:
         _log(f"error: {exc}")
         return 1
     except AssertionError as exc:

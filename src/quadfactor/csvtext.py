@@ -3,20 +3,21 @@
 sieve and records write one row per n, so their CSV is made here, a block
 at a time, instead of by one "%d,%d,...\n" % row per n: cli._emit_columns
 hands their column blocks to cut_blocks, and each cut block to csv_text.
-Each field is a NUL-padded row of one uint8 matrix and the NUL-free bytes
-of the matrix are the text: ints from a table of digit pairs, bools from
-a table of words, and floats as %.17g from the exact product v * 10^k
-(Dekker 1971), rounded half to even as CPython rounds it (Gay 1990), with
-"%.17g" % v as the fallback outside fixed notation.  The module is
-imported only by that emitter's CSV branch, so no other request compiles
-it or loads numpy for it.
+Each field is written into its slice of one NUL-padded uint8 row matrix,
+and the NUL-free bytes of the matrix are the text: ints four digits at a
+time from a table of digit groups, bools from a table of words, and floats
+as %.17g from the exact product v * 10^k (Dekker 1971), rounded half to
+even as CPython rounds it (Gay 1990), with "%.17g" % v as the fallback
+outside fixed notation.  The module is imported only by that emitter's
+CSV branch, so no other request compiles it or loads numpy for it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
+
 
 # "00".."99" as the uint16 whose bytes are the two digits, in native order,
 # then the same with leading zeros as NUL: "\0\0", "\01", .., "99"
@@ -25,76 +26,87 @@ _PAIRS = np.frombuffer(
             ).encode(),
     np.uint16,
 )
+
+
+def _quads() -> np.ndarray:
+    """"0000".."9999" as the uint32 whose bytes are the four digits, two
+    pairs each, then the same with leading zeros as NUL."""
+    quads = np.empty((2, 100, 100, 2), np.uint16)
+    quads[..., 0] = _PAIRS.reshape(2, 100, 1)  # the high pair, stripped in the second half
+    quads[..., 1] = _PAIRS[:100]
+    quads[1, 0, :, 1] = _PAIRS[100:]  # below 100, the low pair is stripped too
+    return quads.view(np.uint32).ravel()
+
+
+def _split(v: np.ndarray):
+    """Veltkamp's split of each double into two 26-bit halves, high + low = v."""
+    c = 134217729.0 * v  # 2^27 + 1
+    high = c - (c - v)
+    return high, v - high
+
+
+_QUADS = _quads()
+_TEN, _TEN_THOUSAND = np.uint64(10), np.uint64(10**4)
+_SCALES = 10 ** np.arange(3, dtype=np.uint64)
 _POW10 = 10.0 ** np.arange(23)  # exact doubles up to 10^22
-_BOOLS = np.frombuffer(b"false" + b"true\0", np.uint8).reshape(2, 5)
-
-
-def _layouts() -> np.ndarray:
-    """Where each character of a %.17g in fixed notation comes from, per
-    decimal exponent X = -4..16: indices into "0" + d0..d16 + "." + NUL."""
-    layout = np.full((21, 22), 19, dtype=np.intp)
-    for x in range(-4, 17):
-        if x >= 0:
-            idx = [*range(1, x + 2), 18, *range(x + 2, 18)]
-        else:
-            idx = [0, 18, *[0] * (-x - 1), *range(1, 18)]
-        layout[x + 4, : len(idx)] = idx
-    return layout
-
-
-_LAYOUT = _layouts()
-for _table in (_PAIRS, _POW10, _BOOLS, _LAYOUT):
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+# the first four bytes of "false" and "true" as one uint32 each, and the fifth
+_BOOL_HEADS = np.frombuffer(b"fals" + b"true", np.uint32)
+_BOOL_TAILS = np.frombuffer(b"e\0", np.uint8)
+for _table in (_PAIRS, _QUADS, _SCALES, _POW10, _POW10_HIGH, _POW10_LOW):
     _table.flags.writeable = False
 
 
-def _int_field(values: np.ndarray) -> np.ndarray:
-    """%d of each non-negative integer, right-aligned in a NUL-padded uint8 matrix."""
+def _int_field(values: np.ndarray) -> Tuple[int, Callable[[np.ndarray], None]]:
+    """%d of each non-negative integer, right-aligned: (width, write)."""
     values = values.astype(np.uint64, copy=False)
-    width = len(str(int(values.max(initial=0))))
-    out = np.empty((len(values), width + width % 2), dtype=np.uint8)
-    _digit_pairs(values, out.view(np.uint16), strip=True)
-    out[values == 0, -1] = ord("0")  # the one digit of 0, stripped with the rest
-    return out
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    width = len(str(high))
+    width += width % 2
+
+    def write(out: np.ndarray) -> None:
+        _digits(values, out, strip=low < 10 ** (width - 1))
+        if low == 0:
+            out[values == 0, -1] = ord("0")  # the one digit of 0, stripped with the rest
+
+    return width, write
 
 
-def _digit_pairs(values: np.ndarray, pairs: np.ndarray, strip: bool) -> None:
-    """Write the digits of each uint64 into its row of the uint16 matrix pairs.
+def _digits(values: np.ndarray, out: np.ndarray, strip: bool) -> None:
+    """Write the digits of each uint64 into its row of the uint8 matrix out.
 
-    Two digits per entry, from a table indexed by the remainder mod 100, and
-    zero-padded on the left; with strip, the leading zeros are NUL instead,
-    read from the table's second half where what is left is below 100.
+    Right-aligned and zero-padded to out's width, which is even: four
+    digits per uint32 entry from a table indexed by the remainder mod 10^4,
+    and two more from a table of pairs if the width is not a multiple of
+    four.  With strip, the leading zeros are NUL instead, read from each
+    table's second half where what is left is below its modulus.
     """
-    hundred = np.uint64(100)
-    for j in range(pairs.shape[1] - 1, -1, -1):
-        quotient = values // hundred  # floor_divide by a scalar is SIMD; divmod is not
-        # the remainder is below 100, so its int64 view indexes without a cast
-        index = (values - quotient * hundred).view(np.int64)
+    width = out.shape[1]
+    quads = out[:, width % 4 :].view(np.uint32)
+    for j in range(quads.shape[1] - 1, -1, -1):
+        quotient = values // _TEN_THOUSAND  # floor_divide by a scalar is SIMD; divmod is not
+        # the remainder is below 10^4, so its int64 view indexes without a cast
+        index = (values - quotient * _TEN_THOUSAND).view(np.int64)
         if strip:
-            index = index + 100 * (values < hundred)
-        pairs[:, j] = _PAIRS[index]
+            index = index + 10000 * (values < _TEN_THOUSAND)
+        quads[:, j] = _QUADS[index]
         values = quotient
+    if width % 4:  # what is left is below 100
+        out[:, :2].view(np.uint16)[:, 0] = _PAIRS[values.view(np.int64) + 100 * strip]
 
 
-def _two_product(a: np.ndarray, b: np.ndarray):
-    """(hi, lo) with hi = fl(a*b) and hi + lo = a*b exactly (Dekker 1971).
-
-    Veltkamp's split cuts each factor into two 26-bit halves whose products
-    are exact doubles; it holds while nothing overflows or underflows.
-    """
-
-    def split(v):
-        c = 134217729.0 * v  # 2^27 + 1
-        high = c - (c - v)
-        return high, v - high
-
-    hi = a * b
-    a1, a2 = split(a)
-    b1, b2 = split(b)
+def _two_product(a: np.ndarray, k: np.ndarray):
+    """(hi, lo) with hi = fl(a * 10^k) and hi + lo = a * 10^k exactly
+    (Dekker 1971): the products of the halves are exact doubles while
+    nothing overflows or underflows."""
+    hi = a * _POW10[k]
+    a1, a2 = _split(a)
+    b1, b2 = _POW10_HIGH[k], _POW10_LOW[k]
     return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def _float_field(values: np.ndarray) -> np.ndarray:
-    """"%.17g" % v of each float64, left-aligned in a NUL-padded uint8 matrix.
+def _float_field(values: np.ndarray) -> Tuple[int, Callable[[np.ndarray], None]]:
+    """"%.17g" % v of each float64, left-aligned: (width, write).
 
     For v > 0 with decimal exponent X (10^X <= v < 10^(X+1)) and
     k = 16 - X in [0, 22], 10^k is an exact double and the 17 digits are
@@ -102,67 +114,105 @@ def _float_field(values: np.ndarray) -> np.ndarray:
     conversion gives them (Gay 1990).  v * 10^k = hi + lo exactly; X is
     found from log10 and corrected until 10^16 <= hi + lo < 10^17, so hi
     is above 2^53, an even integer, and D = hi + rint(lo).  Fixed notation
-    (-4 <= X < 17) is laid out from a table, trailing fraction zeros cut.
-    Every other value (v <= 0, not finite, exponent notation) is formatted
-    by "%.17g".
+    (-4 <= X < 17) is laid out by _fixed.  Every other value (v <= 0, not
+    finite, exponent notation) is formatted by "%.17g".
     """
     values = np.asarray(values, dtype=np.float64)
-    fast = np.isfinite(values) & (values > 0)
-    x = np.floor(np.log10(np.where(fast, values, 1.0))).astype(np.int64)  # one off near 10^j
-    # outside this range k leaves [0, 22] (and the products could overflow)
-    fast &= (x >= -6) & (x <= 16)
-    v, x = np.where(fast, values, 1.0), np.where(fast, x, 0)
-    hi, lo = _two_product(v, _POW10[16 - x])
+    # k stays in [0, 22] for these (so the products cannot overflow) but
+    # where log10 is off; a row whose X is then still outside is slow
+    fast = (values >= 1e-6) & (values < 1e17)
+    v = values if fast.all() else np.where(fast, values, 1.0)
+    x = np.floor(np.log10(v)).astype(np.int64)  # one off near 10^j
+    hi, lo = _two_product(v, np.clip(16 - x, 0, 22))
     for _ in range(3):  # the few rows whose X is off move one step and are scaled again
-        up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        off = (up | (hi < 1e16) | ((hi == 1e16) & (lo < 0))).nonzero()[0]
-        if not off.size:
+        near = ((hi <= 1e16) | (hi >= 1e17)).nonzero()[0]
+        h, l = hi[near], lo[near]
+        up = (h > 1e17) | ((h == 1e17) & (l >= 0))
+        off = up | (h < 1e16) | ((h == 1e16) & (l < 0))
+        if not off.any():
             break
-        x[off] += np.where(up[off], 1, -1)
-        hi[off], lo[off] = _two_product(v[off], _POW10[np.clip(16 - x[off], 0, 22)])
+        near, up = near[off], up[off]
+        x[near] += np.where(up, 1, -1)
+        hi[near], lo[near] = _two_product(v[near], np.clip(16 - x[near], 0, 22))
     else:
-        fast[off] = False
-    d = np.where(fast, hi, 1e16).astype(np.int64) + np.rint(np.where(fast, lo, 0)).astype(np.int64)
+        fast[near] = False
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # no double rounds up to 10^17 here (the tests check every power of ten)
     fast &= (x >= -4) & (x <= 16) & (d < 10**17)
-    d, x = np.where(fast, d, 10**16), np.where(fast, x, 0)
-
-    # "0", the 17 digits, "." and NUL: the sources of every layout
-    digits = np.empty((len(v), 20), dtype=np.uint8)
-    _digit_pairs(d.view(np.uint64), digits[:, :18].view(np.uint16), strip=False)
-    digits[:, 18:] = np.frombuffer(b".\0", np.uint8)
-    # one column gather for the commonest exponent, then one per other exponent
-    rows_per_x = np.bincount(x + 4, minlength=21)
-    common = int(rows_per_x.argmax())
-    out = digits[:, _LAYOUT[common]]
-    for i in rows_per_x.nonzero()[0].tolist():
-        if i != common:
-            rows = (x == i - 4).nonzero()[0]
-            out[rows] = digits[rows][:, _LAYOUT[i]]
-    # only a row whose last digit is 0, or whose 17 digits are all before the
-    # ".", ends in characters %g cuts: trailing fraction zeros and a bare "."
-    cut = ((d % 10 == 0) | (x == 16)).nonzero()[0]
-    significant = 17 - np.argmax(digits[cut, 17:0:-1] != ord("0"), axis=1)
-    xc = x[cut]
-    length = np.where(xc >= 0, np.where(significant <= xc + 1, xc + 1, significant + 1),
-                      1 - xc + significant)
-    trimmed = out[cut]
-    trimmed[np.arange(out.shape[1]) >= length[:, None]] = 0
-    out[cut] = trimmed
-    out = out[:, : 18 - min(0, int(x.min(initial=0)))]
-
+    if not fast.all():
+        d, x = np.where(fast, d, 10**16), np.where(fast, x, 0)
+    d = d.view(np.uint64)
     slow = (~fast).nonzero()[0]
-    if slow.size:
-        text = ["%.17g" % f for f in values[slow].tolist()]
-        width = max(out.shape[1], max(map(len, text)))
-        out = np.pad(out, ((0, 0), (0, width - out.shape[1])))
-        out[slow] = np.frombuffer("".join(t.ljust(width, "\0") for t in text).encode(), np.uint8
-                                  ).reshape(len(slow), width)
-    return out
+    text = ["%.17g" % f for f in values[slow].tolist()]
+    width = max([18 - min(0, int(x.min(initial=0)))] + [len(t) for t in text])
+
+    def write(out: np.ndarray) -> None:
+        # the exponents -2..0 share one layout (band 0), any other exponent
+        # has its own; the largest band is laid out in place over every row
+        # (the other bands' rows are written again), the others through a copy
+        band = np.where((x >= -2) & (x <= 0), 0, x)
+        sizes = np.bincount(band + 4)
+        common = int(sizes.argmax()) - 4
+        for b in sorted((sizes.nonzero()[0] - 4).tolist(), key=lambda b: b != common):
+            mine = band == b
+            low = int(x[mine].min())
+            if b == common:
+                _fixed(d, np.where(mine, x - low, 0), low, out)
+            else:
+                part = np.zeros((int(sizes[b + 4]), out.shape[1]), np.uint8)
+                _fixed(d[mine], x[mine] - low, low, part)
+                out[mine] = part
+        if text:
+            out[slow] = np.frombuffer("".join(t.ljust(width, "\0") for t in text).encode(),
+                                      np.uint8).reshape(len(slow), width)
+
+    return width, write
 
 
-def _bool_field(values: np.ndarray) -> np.ndarray:
-    return _BOOLS[values.astype(bool).view("uint8")]
+def _fixed(d: np.ndarray, shift: np.ndarray, low: int, out: np.ndarray) -> None:
+    """Lay out, at the start of each row of out, the 17 digits d of values
+    whose decimal exponents are low + shift in fixed notation, as %.17g
+    does: shift is 0 where low > 0 and at most 2 where low + shift <= 0.
+
+    Every text is one run of digits with a "." placed in it.  Scaled by
+    10^shift, the digits of every row end in the same column, so one set of
+    column writes lays them all out: zero-padded so that the first
+    character is in column 1 ("0" for a value below 1), the integer digits
+    shift one left and "." follows them (none at exponent 16).  The zeros
+    the scaling appended are cut to NUL, and so, in the rows whose 17th
+    digit is "0", are the trailing fraction zeros and a "." they leave bare.
+    """
+    cut = (d == d // _TEN * _TEN).nonzero()[0]  # before the scaling
+    top = int(shift.max(initial=0))
+    if top:
+        d = d * _SCALES[shift]
+    end = 18 + max(0, -low)
+    ints = max(0, low) + 1  # the integer digits
+    _digits(d, out[:, end % 2 : end], strip=False)
+    out[:, :ints] = out[:, 1 : ints + 1]
+    out[:, ints] = ord(".") if ints < 17 else 0
+    for k in range(1, top + 1):
+        out[:, end - k] *= shift < k
+    if not cut.size or ints + 1 == end:
+        return
+    fraction = out[cut, ints + 1 : end]
+    # trailing[i, j]: fraction digit j of row i and all after it are "0" or
+    # cut; accumulated down the columns of the transpose, a vector op each
+    trailing = np.logical_and.accumulate(fraction.T[::-1] <= ord("0"), axis=0)[::-1].T
+    fraction[trailing] = 0
+    out[cut, ints + 1 : end] = fraction
+    out[cut[trailing[:, 0]], ints] = 0
+
+
+def _bool_field(values: np.ndarray) -> Tuple[int, Callable[[np.ndarray], None]]:
+    """"false"/"true" of each value: (width, write)."""
+    index = values.astype(bool).view(np.uint8)
+
+    def write(out: np.ndarray) -> None:
+        out[:, :4].view(np.uint32)[:, 0] = _BOOL_HEADS[index]
+        out[:, 4] = _BOOL_TAILS[index]
+
+    return 5, write
 
 
 _FIELDS = {"int": _int_field, "float": _float_field, "bool": _bool_field}
@@ -176,23 +226,23 @@ def csv_text(
     """The CSV rows of a block of numpy columns, byte for byte the CLI's template's.
 
     kinds names each column's kind ("int", "float" or "bool").  Each field
-    is a NUL-padded row of one uint8 matrix, so the NUL-free bytes are the
-    text.  With factors = (counts, primes, exponents), the CSR
-    factorizations of polysieve.FactorColumns, row i's "p^e;...;p^e" goes
-    between its columns 1 and 2: one matrix row per factor, each n's rows
-    between its head and tail rows.  factors = () writes the columns alone.
+    is written into its slice of one NUL-padded uint8 row matrix, so the
+    NUL-free bytes are the text.  With factors = (counts, primes,
+    exponents), the CSR factorizations of polysieve.FactorColumns, row i's
+    "p^e;...;p^e" goes between its columns 1 and 2: one matrix row per
+    factor, each n's rows between its head and tail rows.  factors = ()
+    writes the columns alone.
     """
     fields = [_FIELDS[kind](col) for kind, col in zip(kinds, cols)]
     if not factors:
-        return _packed(_joined(fields, b"\n"))
+        return _packed(_rows(len(cols[0]), fields, [ord(",")] * (len(fields) - 1) + [ord("\n")]))
     counts, primes, exponents = factors
-    sep = np.full((len(primes), 1), ord(";"), dtype=np.uint8)
+    sep = np.full(len(primes), ord(";"), dtype=np.uint8)
     sep[np.cumsum(counts) - 1] = ord(",")
     parts = [
-        _joined(fields[:2], b","),
-        np.hstack((_int_field(primes), np.full((len(primes), 1), ord("^"), np.uint8),
-                   _int_field(exponents), sep)),
-        _joined(fields[2:], b"\n"),
+        _rows(len(counts), fields[:2], [ord(",")] * 2),
+        _rows(len(primes), [_int_field(primes), _int_field(exponents)], [ord("^"), sep]),
+        _rows(len(counts), fields[2:], [ord(",")] * (len(fields) - 3) + [ord("\n")]),
     ]
     # n = i owns a head row, its counts[i] factor rows and a tail row, from
     # row 2i + (factors before i)
@@ -207,15 +257,15 @@ def csv_text(
     return _packed(rows)
 
 
-def _joined(fields: Sequence[np.ndarray], end: bytes) -> np.ndarray:
-    """The fields side by side, "," between them and end after the last."""
-    out = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
+def _rows(n: int, fields: Sequence[tuple], ends: Sequence) -> np.ndarray:
+    """The n-row matrix of the fields side by side, each written into its own
+    slice and followed by its end: a byte, or a column of one byte per row."""
+    out = np.zeros((n, sum(width + 1 for width, _ in fields)), np.uint8)
     at = 0
-    for field in fields:
-        out[:, at : at + field.shape[1]] = field
-        at += field.shape[1] + 1
-        out[:, at - 1] = ord(",")
-    out[:, -1] = end[0]
+    for (width, write), end in zip(fields, ends):
+        write(out[:, at : at + width])
+        at += width + 1
+        out[:, at - 1] = end
     return out
 
 

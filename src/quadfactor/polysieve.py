@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Tuple, TypeVar
 
+from . import WorkerLost
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
 
 if TYPE_CHECKING:
@@ -285,7 +286,7 @@ def _fork_map(
     result to its own pipe as an 8-byte length and a pickle, blocking while
     the pipe is full; the parent reads pipe i mod workers for segment i.
     An exception in reduce is raised here at its segment, and a pipe that
-    ends early raises RuntimeError naming it.  A child ends with os._exit:
+    ends early raises WorkerLost naming it.  A child ends with os._exit:
     it flushes no inherited stdio buffer and runs no atexit handler.  Once
     the stream ends, fails or is closed, every child is killed and reaped.
     """
@@ -316,7 +317,7 @@ def _fork_map(
             size = int.from_bytes(pipes[i % workers].read(8), "little")
             data = pipes[i % workers].read(size)
             if not size or len(data) < size:
-                raise RuntimeError(f"segment [{seg[0]}, {seg[1]}]: its worker ended early")
+                raise WorkerLost(f"segment [{seg[0]}, {seg[1]}]: its worker ended early")
             ok, result = pickle.loads(data)
             if not ok:
                 raise result

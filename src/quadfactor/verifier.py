@@ -9,6 +9,9 @@ what it reads, reduced where the segment is sieved (in a pool worker with
 workers > 1): coverage the divisor keys above 2x, chain one exact integer
 for the von Mangoldt side.  The probe sieves nothing: it walks n down from
 2x with is_prime, and largest_column factors only an n it cannot bound.
+The sieve (polysieve), the exact sums (chebsums) and the floor identity
+(rootcount) are imported by the functions that call them, so a probe
+that walks to its answer compiles none of them.
 Anything asymptotic is measured, never asserted.
 """
 
@@ -18,10 +21,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
-from .chebsums import _ExactSum, power_cutoff, sum_ledger
 from .modmath import DEFAULT_SEGMENT_SIZE, HI_MAX, _logs, is_prime, root_table
-from .polysieve import divisor_keys, iter_columns, largest_column, log_total
-from .rootcount import _floor_identity
 
 if TYPE_CHECKING:
     import numpy
@@ -124,6 +124,8 @@ def lhs_logsum(x: int) -> float:
     _check_x(x)
     import numpy as np
 
+    from .chebsums import _ExactSum
+
     acc = _ExactSum()
     for lo in range(x + 1, 2 * x + 1, _LOG_CHUNK):
         n = np.arange(lo, min(lo + _LOG_CHUNK, 2 * x + 1), dtype=np.int64)
@@ -152,6 +154,9 @@ def _cumulative(
     exact doubles whose float sum is the correctly rounded prefix.
     """
     import numpy as np
+
+    from .polysieve import divisor_keys, iter_columns
+    from .rootcount import _floor_identity
 
     layout = functools.partial(divisor_keys, bound=2 * x, with_prime_powers=with_prime_powers)
     keys, bases = zip(*iter_columns(x + 1, 2 * x, segment_size, workers, layout))
@@ -194,6 +199,8 @@ def coverage_curve(
     _check_tolerance(tail_tolerance)
     import numpy as np
 
+    from .chebsums import power_cutoff
+
     top = 4 * x * x + 1
     keys, covered = _cumulative(x, with_prime_powers, segment_size, workers)
     total = lhs_logsum(x)
@@ -235,6 +242,9 @@ def contradiction_probe(
     _check_x(x)
     if x < 2:
         raise ValueError("x must be >= 2")
+    from .chebsums import _ExactSum, power_cutoff, sum_ledger
+    from .polysieve import iter_columns, log_total
+
     for delta in deltas:
         if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
@@ -288,6 +298,8 @@ def largest_prime_probe(x: int) -> ProbeResult:
             open_n.append((n, u))
     for n, u in open_n:
         if u // _LEAST_ODD_FACTOR >= best:
+            from .polysieve import largest_column
+
             p = int(largest_column(n, n)[0])
             if (p, -n) > (best, -arg_n):
                 best, arg_n = p, n

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfactor import chebsums
+from quadfactor import chebsums, modmath
 from quadfactor.chebsums import mertens_prefixes, power_cutoff, sum_ledger
 from quadfactor.modmath import iter_primes, iter_root_rows, sqrt_minus_one
 
@@ -233,7 +233,7 @@ def test_sum_ledger_sweep_independent_of_chunk_size(monkeypatch):
     deltas = [0.5, 0.0, 0.3, 0.3, 0.1]
     expected = sum_ledger(2000, deltas)
     # a 7-candidate chunk puts chunk boundaries between almost every pair of rows
-    monkeypatch.setattr(chebsums, "iter_root_rows", functools.partial(iter_root_rows, chunk=7))
+    monkeypatch.setattr(modmath, "iter_root_rows", functools.partial(iter_root_rows, chunk=7))
     assert sum_ledger(2000, deltas) == expected
 
 
@@ -241,7 +241,7 @@ def test_sum_ledger_validates_every_cutoff_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise RuntimeError("prime pass started")
 
-    monkeypatch.setattr(chebsums, "iter_root_rows", no_work)
+    monkeypatch.setattr(modmath, "iter_root_rows", no_work)
     with pytest.raises(OverflowError, match="exceeds sieve bound"):
         sum_ledger(30000, [0.2, 1.2])
     with pytest.raises(ValueError, match="delta must be >= 0"):
@@ -333,7 +333,7 @@ def test_ledger_floats_equal_fsum_at_every_cutoff(monkeypatch, chunk):
     # stream, is math.fsum of exactly the terms up to its cutoff
     if chunk is not None:
         monkeypatch.setattr(
-            chebsums, "iter_root_rows", functools.partial(iter_root_rows, chunk=chunk)
+            modmath, "iter_root_rows", functools.partial(iter_root_rows, chunk=chunk)
         )
         monkeypatch.setattr(chebsums, "DEFAULT_SEGMENT_SIZE", chunk)
     x = 300

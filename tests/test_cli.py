@@ -354,8 +354,9 @@ def test_pool_workers_flush_no_inherited_output():
 
 
 def test_a_killed_pool_worker_fails_the_request_and_writes_nothing(tmp_path):
-    # the worker of segment [1002, 1501] dies by SIGKILL: the request fails,
-    # naming that segment, and the -o target is absent (complete or absent)
+    # the worker of segment [1002, 1501] dies by SIGKILL: the request fails
+    # with exit 1 and one line naming that segment, not a traceback, and the
+    # -o target is absent (complete or absent)
     code = _TWO_CPUS + (
         "import os, signal\n"
         "reduce = polysieve._record_columns\n"
@@ -370,8 +371,8 @@ def test_a_killed_pool_worker_fails_the_request_and_writes_nothing(tmp_path):
     argv = ["records", "--n-max", "5000", "--segment-size", "500", "--workers", "2",
             "-o", str(target)]
     run = _fresh_python("-c", code, *argv)
-    assert run.returncode != 0
-    assert "segment [1002, 1501]" in run.stderr, run.stderr
+    lost = "error: segment [1002, 1501]: its worker ended early\n"
+    assert (run.returncode, run.stderr) == (1, lost)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -627,7 +628,7 @@ def test_sums_default_class_reads_mertens_off_the_ledger(monkeypatch, capsys, re
     def no_pass(*args, **kwargs):
         raise RuntimeError("second prime pass")
 
-    monkeypatch.setattr(quadfactor.chebsums, "_class_sieve", no_pass)
+    monkeypatch.setattr(quadfactor.chebsums, "mertens_prefixes", no_pass)
     assert main(argv) == 0
     assert capsys.readouterr() == expected
 
@@ -845,6 +846,27 @@ def test_csv_kernel_never_gets_more_rows_than_a_write(command, segment_size):
         assert out.getvalue() == first
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("segment_size", ["333", "4999"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("command", ["records --n-max 40000", "sieve --lo 1000000 --hi 1030000"])
+def test_bytes_do_not_depend_on_where_blocks_are_cut(command, fmt, segment_size, workers):
+    # at the default block size these outputs span several blocks, whose
+    # cuts fall inside segments of either size; the bytes are those of
+    # 1000-row and of 2^16-row blocks
+    argv = command.split() + ["--format", fmt, "--segment-size", segment_size,
+                              "--workers", workers]
+    outputs = []
+    for rows_per_write in (cli._ROWS_PER_WRITE, 1000, 1 << 16):
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+            assert main(argv) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0].count("\n") > 3 * cli._ROWS_PER_WRITE
+    assert outputs[1] == outputs[0] == outputs[2]
+
+
 def test_only_sieve_and_records_csv_load_the_csv_kernel():
     # each request compiles what it imports, so the kernel is left to the
     # two requests that run it
@@ -857,6 +879,28 @@ def test_only_sieve_and_records_csv_load_the_csv_kernel():
     ):
         imported = _imported("-m", "quadfactor", *argv, "-o", os.devnull)
         assert ("quadfactor.csvtext" in imported) == loads, argv
+
+
+def test_probe_and_a_refused_sums_load_only_what_they_run():
+    # each request compiles what it imports: the probe's walk needs is_prime
+    # alone (at x = 3000 it factors no n), and sums is refused at its
+    # cutoffs before it reads a prime stream
+    refused = ["sums", "--x", "30039", "--delta", "0.25", "--delta", "1.2"]
+    for argv, code, needed, unneeded in (
+        (["probe", "--x", "3000"], 0, {"quadfactor.verifier", "quadfactor.modmath"},
+         {"numpy", "quadfactor.chebsums", "quadfactor.polysieve", "quadfactor.rootcount",
+          "fractions"}),
+        (refused, 1, {"quadfactor.chebsums"}, {"quadfactor.modmath", "quadfactor.rootcount"}),
+    ):
+        run = _fresh_python("-X", "importtime", "-m", "quadfactor", *argv, "-o", os.devnull)
+        assert run.returncode == code, run.stderr
+        imported = {
+            line.rsplit("|", 1)[-1].strip()
+            for line in run.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert needed <= imported, argv
+        assert not imported & unneeded, (argv, imported & unneeded)
 
 
 @pytest.mark.parametrize("segment_size", ["1", "7", str(cli.DEFAULT_SEGMENT_SIZE)])

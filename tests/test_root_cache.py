@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import quadfactor
-from quadfactor import chebsums, modmath
+from quadfactor import modmath
 from quadfactor.modmath import _root_for_prime, iter_primes, iter_root_rows, root_table
 
 from test_golden import CASES, GOLDEN, run_cli
@@ -140,7 +140,6 @@ def test_every_golden_cold_then_warm_against_one_cache(monkeypatch, root_cache, 
         return iter_root_rows(hi, max(7, hi // 256))
 
     monkeypatch.setattr(modmath, "iter_root_rows", rows)
-    monkeypatch.setattr(chebsums, "iter_root_rows", rows)
     monkeypatch.delenv("QUADFACTOR_WORKERS", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quadfactor import polysieve, verifier
+from quadfactor import chebsums, polysieve, verifier
 from quadfactor.chebsums import power_cutoff, sum_ledger
 from quadfactor.cli import main
 from quadfactor.modmath import is_prime, iter_primes, sqrt_minus_one
@@ -261,7 +261,7 @@ def test_contradiction_probe_validates_every_delta_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise RuntimeError("sieve started")
 
-    monkeypatch.setattr(verifier, "iter_columns", no_work)
+    monkeypatch.setattr(polysieve, "iter_columns", no_work)
     # range first, then cutoff, in the order the deltas are given
     with pytest.raises(OverflowError, match="exceeds sieve bound"):
         contradiction_probe(10**5, [0.5, 1.0, 1.5])
@@ -273,8 +273,9 @@ def test_contradiction_probe_with_no_delta_does_no_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise RuntimeError("sieve started")
 
-    for name in ("iter_columns", "lhs_logsum", "sum_ledger"):
-        monkeypatch.setattr(verifier, name, no_work)
+    for mod, name in ((polysieve, "iter_columns"), (verifier, "lhs_logsum"),
+                      (chebsums, "sum_ledger")):
+        monkeypatch.setattr(mod, name, no_work)
     assert contradiction_probe(10**5, []) == []
 
 
@@ -339,7 +340,7 @@ def test_largest_prime_probe_fallback_alone_gives_the_oracle_row(monkeypatch):
         return largest_column(lo, hi)
 
     monkeypatch.setattr(verifier, "_LEAST_ODD_FACTOR", 1)
-    monkeypatch.setattr(verifier, "largest_column", counted)
+    monkeypatch.setattr(polysieve, "largest_column", counted)
     for x in range(2, 1001):
         probe = largest_prime_probe(x)
         assert (probe.max_prime, probe.arg_n) == largest_prime_oracle(x), x
