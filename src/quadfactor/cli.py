@@ -343,9 +343,8 @@ def _cmd_verify_counts(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     import random
-    from fractions import Fraction
 
-    from .modmath import iter_primes, sqrt_minus_one
+    from .modmath import RootPair, _root_for_prime, iter_primes
     from .rootcount import solution_count
 
     rng = random.Random(args.seed)
@@ -361,10 +360,10 @@ def _cmd_verify_counts(args: argparse.Namespace) -> int:
         x = rng.randint(1, args.x)
         while 4 * x * x + 1 < p:
             x = rng.randint(1, args.x)
-        root = sqrt_minus_one(p)
+        root = RootPair(p, _root_for_prime(p))  # p is from the sieve
         result = solution_count(x, root)
         identity_ok = result.exact == result.floor_identity
-        bound_ok = Fraction(result.exact) <= result.bound
+        bound_ok = result.exact <= result.bound
         failures += 0 if (identity_ok and bound_ok) else 1
         rows.append(
             (

@@ -6,10 +6,13 @@ hands their column blocks to cut_blocks, and each cut block to csv_text.
 Each field is written into its slice of one NUL-padded uint8 row matrix,
 and the NUL-free bytes of the matrix are the text: ints four digits at a
 time from a table of digit groups, bools from a table of words, and floats
-as %.17g from the exact product v * 10^k (Dekker 1971), rounded half to
-even as CPython rounds it (Gay 1990), with "%.17g" % v as the fallback
-outside fixed notation.  The module is imported only by that emitter's
-CSV branch, so no other request compiles it or loads numpy for it.
+in [0.01, 10) as %.17g from the exact product v * 10^k (Dekker 1971),
+rounded half to even as CPython rounds it (Gay 1990), with "%.17g" % v as
+the fallback for any other float.  That band holds every float the CLI
+writes: its one float column is log P / log n for P = P(n^2 + 1), and
+5 <= P <= n^2 + 1 with 2 <= n <= 2^31 puts it in [log 5 / (31 log 2),
+log 5 / log 2], about [0.0749, 2.33].  The module is imported only by that
+emitter's CSV branch, so no other request compiles it or loads numpy for it.
 """
 
 from __future__ import annotations
@@ -108,22 +111,21 @@ def _two_product(a: np.ndarray, k: np.ndarray):
 def _float_field(values: np.ndarray) -> Tuple[int, Callable[[np.ndarray], None]]:
     """"%.17g" % v of each float64, left-aligned: (width, write).
 
-    For v > 0 with decimal exponent X (10^X <= v < 10^(X+1)) and
-    k = 16 - X in [0, 22], 10^k is an exact double and the 17 digits are
-    D = round(v * 10^k), ties to even, as CPython's correctly rounded
-    conversion gives them (Gay 1990).  v * 10^k = hi + lo exactly; X is
-    found from log10 and corrected until 10^16 <= hi + lo < 10^17, so hi
-    is above 2^53, an even integer, and D = hi + rint(lo).  Fixed notation
-    (-4 <= X < 17) is laid out by _fixed.  Every other value (v <= 0, not
-    finite, exponent notation) is formatted by "%.17g".
+    For v in [0.01, 10), decimal exponent X in -2..0 and k = 16 - X, 10^k
+    is an exact double and the 17 digits are D = round(v * 10^k), ties to
+    even, as CPython's correctly rounded conversion gives them (Gay 1990).
+    v * 10^k = hi + lo exactly; X is found from log10 and corrected until
+    10^16 <= hi + lo < 10^17, so hi is above 2^53, an even integer, and
+    D = hi + rint(lo); one _fixed call lays them all out.  The band holds
+    the CLI's one float, log P(n^2 + 1) / log n, in [log 5 / (31 log 2),
+    log 5 / log 2] for 2 <= n <= 2^31.  Every other value (out of the band,
+    v <= 0, not finite) is formatted by "%.17g".
     """
     values = np.asarray(values, dtype=np.float64)
-    # k stays in [0, 22] for these (so the products cannot overflow) but
-    # where log10 is off; a row whose X is then still outside is slow
-    fast = (values >= 1e-6) & (values < 1e17)
+    fast = (values >= 0.01) & (values < 10)
     v = values if fast.all() else np.where(fast, values, 1.0)
     x = np.floor(np.log10(v)).astype(np.int64)  # one off near 10^j
-    hi, lo = _two_product(v, np.clip(16 - x, 0, 22))
+    hi, lo = _two_product(v, 16 - x)
     for _ in range(3):  # the few rows whose X is off move one step and are scaled again
         near = ((hi <= 1e16) | (hi >= 1e17)).nonzero()[0]
         h, l = hi[near], lo[near]
@@ -133,35 +135,22 @@ def _float_field(values: np.ndarray) -> Tuple[int, Callable[[np.ndarray], None]]
             break
         near, up = near[off], up[off]
         x[near] += np.where(up, 1, -1)
-        hi[near], lo[near] = _two_product(v[near], np.clip(16 - x[near], 0, 22))
+        hi[near], lo[near] = _two_product(v[near], 16 - x[near])
     else:
         fast[near] = False
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # no double rounds up to 10^17 here (the tests check every power of ten)
-    fast &= (x >= -4) & (x <= 16) & (d < 10**17)
+    # no double below 10 rounds up to 10^17 (the tests check every power of ten)
+    fast &= d < 10**17
     if not fast.all():
         d, x = np.where(fast, d, 10**16), np.where(fast, x, 0)
     d = d.view(np.uint64)
     slow = (~fast).nonzero()[0]
     text = ["%.17g" % f for f in values[slow].tolist()]
-    width = max([18 - min(0, int(x.min(initial=0)))] + [len(t) for t in text])
+    low = int(x.min(initial=0))
+    width = max([18 - low] + [len(t) for t in text])
 
     def write(out: np.ndarray) -> None:
-        # the exponents -2..0 share one layout (band 0), any other exponent
-        # has its own; the largest band is laid out in place over every row
-        # (the other bands' rows are written again), the others through a copy
-        band = np.where((x >= -2) & (x <= 0), 0, x)
-        sizes = np.bincount(band + 4)
-        common = int(sizes.argmax()) - 4
-        for b in sorted((sizes.nonzero()[0] - 4).tolist(), key=lambda b: b != common):
-            mine = band == b
-            low = int(x[mine].min())
-            if b == common:
-                _fixed(d, np.where(mine, x - low, 0), low, out)
-            else:
-                part = np.zeros((int(sizes[b + 4]), out.shape[1]), np.uint8)
-                _fixed(d[mine], x[mine] - low, low, part)
-                out[mine] = part
+        _fixed(d, x - low, low, out)
         if text:
             out[slow] = np.frombuffer("".join(t.ljust(width, "\0") for t in text).encode(),
                                       np.uint8).reshape(len(slow), width)
@@ -172,36 +161,32 @@ def _float_field(values: np.ndarray) -> Tuple[int, Callable[[np.ndarray], None]]
 def _fixed(d: np.ndarray, shift: np.ndarray, low: int, out: np.ndarray) -> None:
     """Lay out, at the start of each row of out, the 17 digits d of values
     whose decimal exponents are low + shift in fixed notation, as %.17g
-    does: shift is 0 where low > 0 and at most 2 where low + shift <= 0.
+    does: with -2 <= low <= low + shift <= 0, one integer digit and ".".
 
-    Every text is one run of digits with a "." placed in it.  Scaled by
-    10^shift, the digits of every row end in the same column, so one set of
-    column writes lays them all out: zero-padded so that the first
-    character is in column 1 ("0" for a value below 1), the integer digits
-    shift one left and "." follows them (none at exponent 16).  The zeros
-    the scaling appended are cut to NUL, and so, in the rows whose 17th
-    digit is "0", are the trailing fraction zeros and a "." they leave bare.
+    Scaled by 10^shift, the digits of every row end in the same column, so
+    one set of column writes lays them all out: zero-padded so that the
+    first character is in column 1 ("0" for a value below 1), then moved
+    one left for "." in column 1.  The zeros the scaling appended are cut
+    to NUL, and so, in the rows whose 17th digit is "0", are the trailing
+    fraction zeros and a "." they leave bare.
     """
     cut = (d == d // _TEN * _TEN).nonzero()[0]  # before the scaling
     top = int(shift.max(initial=0))
     if top:
         d = d * _SCALES[shift]
-    end = 18 + max(0, -low)
-    ints = max(0, low) + 1  # the integer digits
+    end = 18 - low
     _digits(d, out[:, end % 2 : end], strip=False)
-    out[:, :ints] = out[:, 1 : ints + 1]
-    out[:, ints] = ord(".") if ints < 17 else 0
+    out[:, 0] = out[:, 1]
+    out[:, 1] = ord(".")
     for k in range(1, top + 1):
         out[:, end - k] *= shift < k
-    if not cut.size or ints + 1 == end:
-        return
-    fraction = out[cut, ints + 1 : end]
+    fraction = out[cut, 2:end]
     # trailing[i, j]: fraction digit j of row i and all after it are "0" or
     # cut; accumulated down the columns of the transpose, a vector op each
     trailing = np.logical_and.accumulate(fraction.T[::-1] <= ord("0"), axis=0)[::-1].T
     fraction[trailing] = 0
-    out[cut, ints + 1 : end] = fraction
-    out[cut[trailing[:, 0]], ints] = 0
+    out[cut, 2:end] = fraction
+    out[cut[trailing[:, 0]], 1] = 0
 
 
 def _bool_field(values: np.ndarray) -> Tuple[int, Callable[[np.ndarray], None]]:

@@ -108,9 +108,10 @@ def _root_hits(
         # p - (lo mod p), b + shift and p - b + shift stay under 2p < 2^32
         shift = p - lo % p
         both = np.column_stack(((b + shift) % p, (p - b + shift) % p))
-        row, col = (both < width).nonzero()
-        start = both[row, col].astype(np.int64)
-        p = p[row].astype(np.int64)
+        # flat index i is (row i >> 1, root i & 1), in the order (row, root)
+        hit = np.flatnonzero(both < width)
+        start = both.ravel()[hit].astype(np.int64)
+        p = p[hit >> 1].astype(np.int64)
         runs = (width - 1 - start) // p + 1
         # hit j of the chunk is start + p * (j - j0), j0 the first j of its run
         base = start - p * (np.cumsum(runs) - runs)

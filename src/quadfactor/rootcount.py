@@ -8,10 +8,12 @@ kept as exact residues over p; nothing is rounded before comparison.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .modmath import RootPair
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SolutionCount(NamedTuple):
@@ -68,6 +70,8 @@ def count_upper_bound(x: int, root: RootPair) -> Fraction:
     Dropping the two negative fractional terms of the floor identity leaves
     this bound, so bound - exact is a sum of two values in [0, 1).
     """
+    from fractions import Fraction
+
     p, b = root.p, root.b
     return Fraction(2 * x + (x - b) % p + (x + b) % p, p)
 

@@ -516,7 +516,8 @@ def test_each_subcommand_imports_only_what_it_runs():
         (
             ["sums", "--x", "1000", "--delta", "0", "--delta", "0.5"],
             {"quadfactor.chebsums", "quadfactor.rootcount", "numpy"},
-            {"quadfactor.polysieve", "quadfactor.verifier", "multiprocessing"},
+            {"quadfactor.polysieve", "quadfactor.verifier", "multiprocessing", "fractions",
+             "decimal"},
         ),
         (
             ["verify", "counts", "--trials", "5"],
@@ -537,13 +538,13 @@ def test_each_subcommand_imports_only_what_it_runs():
         (
             ["coverage", "--x", "300", "--segment-size", "97", "--workers", "2"],
             {"quadfactor.verifier", "numpy"},
-            pool,
+            {"fractions", "decimal", *pool},
         ),
         (
             ["chain", "--x", "1000", "--delta-grid", "0,0.5", "--segment-size", "97",
              "--workers", "2"],
             {"quadfactor.verifier", "numpy"},
-            pool,
+            {"fractions", "decimal", *pool},
         ),
         (["probe", "--x", "3000"], {"quadfactor.verifier"}, {"numpy", *pool}),
     )

@@ -220,6 +220,19 @@ def test_records_scan_strictly_increasing_records():
     assert _scan_rows(2000, 37, workers=2) == rows
 
 
+def test_exponents_lie_in_the_csv_float_band():
+    # csvtext lays out floats in [0.01, 10) in fixed notation: every
+    # log P(n^2 + 1) / log n, 5 <= P <= n^2 + 1 and 2 <= n <= 2^31, is in
+    # [log 5 / (31 log 2), log 5 / log 2], the maximum at n = 2
+    low, high = math.log(5) / (31 * math.log(2)), math.log(5) / math.log(2)
+    blocks = list(records_scan(10**5))
+    assert blocks[0].lo == 2 and blocks[0].exponent[0] == high
+    window = sieve_columns(29999500, 30000000)  # the sieve_window_3e7 golden's range
+    for exponent in [block.exponent for block in blocks] + [window.exponent()]:
+        assert low <= exponent.min() and exponent.max() <= high
+        assert set(np.floor(np.log10(exponent)).tolist()) <= {-2, -1, 0}
+
+
 def _record_segment(largest):
     """A hand-made (largest, exponent) pair, as records_scan's reduction gives."""
     largest = np.array(largest, dtype=np.uint64)
